@@ -24,7 +24,6 @@ from .cantor_core import (
     box_dimension_estimate,
     dim_sum_bound,
     gap_lemma_check,
-    measure,
     middle_alpha_system,
     minkowski_sum,
     normalize,
@@ -37,7 +36,6 @@ from .measures import (
     EstimationFailedError,
     ScalingReport,
     cdf,
-    convolution_dim_bound,
     convolve,
     dimension_via_lyapunov,
     estimate_lyapunov,

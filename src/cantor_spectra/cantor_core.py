@@ -249,11 +249,6 @@ def normalize(intervals: Iterable) -> IntervalSet:
     return _merge_sorted_arrays(los, his)
 
 
-def measure(s: IntervalSet) -> float:
-    """Total length of an interval union."""
-    return s.measure()
-
-
 def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Pointwise sum set {x + y : x in a, y in b}, normalized.
 
@@ -464,7 +459,7 @@ def gap_lemma_check(t1: float, t2: float) -> bool:
 
 
 def dim_sum_bound(d1: float, d2: float) -> float:
-    """Upper bound min(d1 + d2, 1) for the dimension of a sum set."""
+    """Upper bound min(d1 + d2, 1) for the dimension of a sum set or a convolution."""
     for d in (d1, d2):
         if not (0.0 <= d <= 1.0):
             raise ValueError(f"dimension must lie in [0, 1], got {d}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor_core import BudgetExceededError, IntervalSet, measure
+from .cantor_core import BudgetExceededError, IntervalSet
 from .measures import (
     BandMeasure,
     EstimationFailedError,
@@ -42,7 +42,6 @@ from .phase_diagram import (
 from .spectrum import (
     band_dos,
     finite_chain_dos,
-    resolve_cache_dir,
     spectrum_approximant,
     sum_spectrum,
 )
@@ -234,7 +233,7 @@ def _interval_payload(command: str, s: IntervalSet, extra: dict) -> dict:
     payload = {"schema_version": SCHEMA_VERSION, "command": command}
     payload.update(extra)
     payload["count"] = len(s)
-    payload["measure"] = measure(s)
+    payload["measure"] = s.measure()
     payload["intervals"] = [[float(lo), float(hi)] for lo, hi in zip(s.los, s.his)]
     return payload
 
@@ -267,16 +266,16 @@ def _run_orbit(cfg: RunConfig) -> None:
 
 def _run_spectrum(cfg: RunConfig) -> None:
     p = cfg.params
-    cache = resolve_cache_dir(cfg.cache_dir)
-    s = spectrum_approximant(p["lam"], p["level"], p["resolution"], cache_dir=cache)
+    s = spectrum_approximant(p["lam"], p["level"], p["resolution"], cache_dir=cfg.cache_dir)
     extra = {"lambda": p["lam"], "level": p["level"], "resolution": p["resolution"]}
     _emit_intervals("spectrum", s, cfg.fmt, extra)
 
 
 def _run_sumset(cfg: RunConfig) -> None:
     p = cfg.params
-    cache = resolve_cache_dir(cfg.cache_dir)
-    s = sum_spectrum(p["lambda1"], p["lambda2"], p["level"], p["resolution"], cache_dir=cache)
+    s = sum_spectrum(
+        p["lambda1"], p["lambda2"], p["level"], p["resolution"], cache_dir=cfg.cache_dir
+    )
     extra = {
         "lambda1": p["lambda1"],
         "lambda2": p["lambda2"],
@@ -288,8 +287,7 @@ def _run_sumset(cfg: RunConfig) -> None:
 
 def _run_dos(cfg: RunConfig) -> None:
     p = cfg.params
-    cache = resolve_cache_dir(cfg.cache_dir)
-    m = band_dos(p["lam"], p["level"], p["resolution"], cache_dir=cache)
+    m = band_dos(p["lam"], p["level"], p["resolution"], cache_dir=cfg.cache_dir)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "dos",
@@ -351,7 +349,6 @@ def _run_dimension(cfg: RunConfig) -> None:
 
 def _run_phase(cfg: RunConfig) -> None:
     p = cfg.params
-    cache = resolve_cache_dir(cfg.cache_dir)
     l1 = lambda_range(*_grid_spec(p["l1"]))
     l2 = lambda_range(*_grid_spec(p["l2"]))
     diagram = sweep(
@@ -362,7 +359,7 @@ def _run_phase(cfg: RunConfig) -> None:
         margin=p["margin"],
         samples=p["samples"],
         seed=p["seed"],
-        cache_dir=cache,
+        cache_dir=cfg.cache_dir,
         n_workers=cfg.threads,
     )
     out = p["out"]

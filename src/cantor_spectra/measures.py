@@ -81,6 +81,16 @@ class BandMeasure:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _from_arrays(cls, los: np.ndarray, his: np.ndarray, weights: np.ndarray) -> "BandMeasure":
+        """Trusted constructor for sorted disjoint atoms with weights summing to 1."""
+        m = cls.__new__(cls)
+        m._los = los
+        m._his = his
+        m._weights = weights
+        m._cum = np.cumsum(weights)
+        return m
+
+    @classmethod
     def point_masses(cls, points: Sequence[float], weights: Sequence[float]) -> "BandMeasure":
         return cls([(p, p, w) for p, w in zip(points, weights)])
 
@@ -96,13 +106,7 @@ class BandMeasure:
         n = len(support)
         if n == 0:
             raise ValueError("support is empty")
-        w = 1.0 / n
-        m = cls.__new__(cls)
-        m._los = support.los.copy()
-        m._his = support.his.copy()
-        m._weights = np.full(n, w)
-        m._cum = np.cumsum(m._weights)
-        return m
+        return cls._from_arrays(support.los.copy(), support.his.copy(), np.full(n, 1.0 / n))
 
     @classmethod
     def length_weights_on(cls, support: IntervalSet) -> "BandMeasure":
@@ -157,12 +161,7 @@ class BandMeasure:
         return len(self) == 1 and self._los[0] == self._his[0]
 
     def translated(self, shift: float) -> "BandMeasure":
-        m = BandMeasure.__new__(BandMeasure)
-        m._los = self._los + shift
-        m._his = self._his + shift
-        m._weights = self._weights.copy()
-        m._cum = self._cum.copy()
-        return m
+        return BandMeasure._from_arrays(self._los + shift, self._his + shift, self._weights.copy())
 
     def rescaled_to_unit(self) -> "BandMeasure":
         """Affine image with support stretched onto [0, 1].
@@ -175,12 +174,9 @@ class BandMeasure:
         if d <= 0.0:
             raise ValueError("cannot rescale a single point mass")
         lo = self.support_lo
-        m = BandMeasure.__new__(BandMeasure)
-        m._los = (self._los - lo) / d
-        m._his = (self._his - lo) / d
-        m._weights = self._weights.copy()
-        m._cum = self._cum.copy()
-        return m
+        return BandMeasure._from_arrays(
+            (self._los - lo) / d, (self._his - lo) / d, self._weights.copy()
+        )
 
     # -- serialization -------------------------------------------------
 
@@ -278,8 +274,7 @@ def convolve(
         # purely atomic: group equal sums exactly
         values, inverse = np.unique(los, return_inverse=True)
         agg = np.bincount(inverse, weights=ws)
-        agg = agg / np.sum(agg)
-        return BandMeasure.point_masses(values, agg)
+        return BandMeasure._from_arrays(values, values.copy(), agg / np.sum(agg))
 
     g = merge_granularity if merge_granularity is not None else _default_granularity(los, his)
     start = float(np.min(los))
@@ -296,38 +291,33 @@ def convolve(
     on_boundary = (idx1 > idx0) & (his <= start + idx1 * g)
     idx1 = np.where(on_boundary, idx1 - 1, idx1)
 
+    # atoms inside one cell keep their whole weight there; longer atoms put
+    # their overlap with the two end cells there and a density times g on
+    # every cell strictly between them
+    one = idx1 == idx0
     cell_w = np.zeros(n_cells)
-    span = idx1 - idx0
-    one_cell = span == 0
-    cell_w += np.bincount(idx0[one_cell], weights=ws[one_cell], minlength=n_cells)
-
-    two_cells = span == 1
-    if np.any(two_cells):
-        L = los[two_cells]
-        H = his[two_cells]
-        W = ws[two_cells]
-        b = start + (idx0[two_cells] + 1) * g  # shared cell boundary
-        frac_left = (b - L) / (H - L)
-        cell_w += np.bincount(idx0[two_cells], weights=W * frac_left, minlength=n_cells)
-        cell_w += np.bincount(idx1[two_cells], weights=W * (1.0 - frac_left), minlength=n_cells)
-
-    many = np.flatnonzero(span >= 2)
-    for i in many:
-        L, H, W = los[i], his[i], ws[i]
-        length = H - L
-        for c in range(idx0[i], idx1[i] + 1):
-            c_lo = max(L, start + c * g)
-            c_hi = min(H, start + (c + 1) * g)
-            if c_hi > c_lo:
-                cell_w[c] += W * (c_hi - c_lo) / length
+    cell_w += np.bincount(idx0[one], weights=ws[one], minlength=n_cells)
+    L, H, W, i0, i1 = los[~one], his[~one], ws[~one], idx0[~one], idx1[~one]
+    length = H - L
+    left = np.maximum(start + (i0 + 1) * g - np.maximum(L, start + i0 * g), 0.0)
+    right = np.maximum(np.minimum(H, start + (i1 + 1) * g) - (start + i1 * g), 0.0)
+    cell_w += np.bincount(i0, weights=W * left / length, minlength=n_cells)
+    cell_w += np.bincount(i1, weights=W * right / length, minlength=n_cells)
+    inner = i1 - i0 >= 2
+    density = W[inner] / length[inner]
+    starts, stops = i0[inner] + 1, i1[inner]
+    diff = np.bincount(starts, weights=density, minlength=n_cells + 1) - np.bincount(
+        stops, weights=density, minlength=n_cells + 1
+    )
+    # the integer count keeps rounding residue out of uncovered cells
+    covering = np.cumsum(
+        np.bincount(starts, minlength=n_cells + 1) - np.bincount(stops, minlength=n_cells + 1)
+    )
+    cell_w += np.where(covering > 0, np.cumsum(diff) * g, 0.0)[:n_cells]
 
     nz = np.flatnonzero(cell_w > 0.0)
     total = float(np.sum(cell_w[nz]))
-    atom_los = start + nz * g
-    atom_his = start + (nz + 1) * g
-    return BandMeasure(
-        [(lo, hi, w / total) for lo, hi, w in zip(atom_los, atom_his, cell_w[nz])]
-    )
+    return BandMeasure._from_arrays(start + nz * g, start + (nz + 1) * g, cell_w[nz] / total)
 
 
 @dataclass(frozen=True)
@@ -370,7 +360,8 @@ def scaling_exponent(
         return ScalingReport(x, (), float("nan"), float("nan"), no_mass=True)
     valid = (mass > 0.0) & (eps != 1.0)
     with np.errstate(divide="ignore"):
-        ratios = np.where(valid, np.log(mass, where=mass > 0) / np.log(eps), np.nan)
+        log_mass = np.log(mass, where=mass > 0, out=np.full_like(mass, np.nan))
+        ratios = np.where(valid, log_mass / np.log(eps), np.nan)
     pairs = tuple((float(e), float(r)) for e, r, v in zip(eps, ratios, valid) if v)
     # min/max over the finest half of the sampled scales
     half = valid.copy()
@@ -463,14 +454,6 @@ def singularity_verdict(
     if d1.upper + d2.upper < 1.0 - margin:
         return _SINGULAR
     return _INCONCLUSIVE
-
-
-def convolution_dim_bound(d1: float, d2: float) -> float:
-    """Upper bound min(d1 + d2, 1) for the dimension of a convolution."""
-    for d in (d1, d2):
-        if not (0.0 <= d <= 1.0):
-            raise ValueError(f"dimension must lie in [0, 1], got {d}")
-    return min(d1 + d2, 1.0)
 
 
 def estimate_lyapunov(

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor_core import box_dimension_estimate
-from .measures import DimensionEstimate, measure_dimension_estimate
-from .spectrum import band_dos, spectrum_approximant
+from .cantor_core import IntervalSet, box_dimension_estimate
+from .measures import BandMeasure, DimensionEstimate, measure_dimension_estimate
+from .spectrum import _cover, _equal_weight_dos, band_dos, band_set, spectrum_approximant
 
 __all__ = [
     "ACDS",
@@ -145,20 +145,19 @@ class PhaseCell:
             raise ValueError(f"unknown regime {self.regime!r}")
 
 
-def dos_dimension_estimate(
-    coupling: float,
-    level: int = DEFAULT_LEVEL,
-    resolution: float = DEFAULT_RESOLUTION,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    cache_dir: str | None = None,
-) -> DimensionEstimate:
-    """Dimension estimate of the band density of states at one coupling.
+def _cover_dimension(cover: IntervalSet) -> float:
+    """Box dimension of a cover at the _BOX_EXPONENTS scales below its diameter."""
+    scales = cover.diameter * 2.0 ** (-_BOX_EXPONENTS.astype(float))
+    dim, _ = box_dimension_estimate(cover, scales)
+    return dim
+
+
+def _dos_dimension(dos: BandMeasure, samples: int, seed: int) -> DimensionEstimate:
+    """Dimension estimate of a density of states on the _NU_* scaling window.
 
     The measure is rescaled to unit support first so the scaling window means
     the same thing at every coupling regardless of spectrum diameter.
     """
-    dos = band_dos(coupling, level, resolution, cache_dir=cache_dir)
     return measure_dimension_estimate(
         dos.rescaled_to_unit(),
         samples,
@@ -169,6 +168,18 @@ def dos_dimension_estimate(
     )
 
 
+def dos_dimension_estimate(
+    coupling: float,
+    level: int = DEFAULT_LEVEL,
+    resolution: float = DEFAULT_RESOLUTION,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    cache_dir: str | None = None,
+) -> DimensionEstimate:
+    """Dimension estimate of the band density of states at one coupling."""
+    return _dos_dimension(band_dos(coupling, level, resolution, cache_dir=cache_dir), samples, seed)
+
+
 def dims_for_lambda(
     coupling: float,
     level: int = DEFAULT_LEVEL,
@@ -177,13 +188,13 @@ def dims_for_lambda(
     seed: int = 0,
     cache_dir: str | None = None,
 ) -> tuple[float, float]:
-    """(cover dimension, density-of-states dimension) at one coupling."""
+    """(cover dimension, density-of-states dimension) from one band set per level k, k+1."""
     if not (coupling > 0.0):
         raise ValueError("coupling must be > 0")
-    cover = spectrum_approximant(coupling, level, resolution, cache_dir=cache_dir)
-    scales = cover.diameter * 2.0 ** (-_BOX_EXPONENTS.astype(float))
-    dim_sigma, _ = box_dimension_estimate(cover, scales)
-    est = dos_dimension_estimate(coupling, level, resolution, samples, seed, cache_dir)
+    low = band_set(coupling, level, None, resolution, cache_dir)
+    high = band_set(coupling, level + 1, None, resolution, cache_dir)
+    dim_sigma = _cover_dimension(_cover(low, high))
+    est = _dos_dimension(_equal_weight_dos(low), samples, seed)
     return dim_sigma, est.midpoint
 
 
@@ -348,13 +359,10 @@ def monotonicity_report(
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("couplings must be strictly increasing")
     if dims is None:
-        cover_dims = []
-        for lam in lams:
-            cover = spectrum_approximant(lam, level, resolution, cache_dir=cache_dir)
-            scales = cover.diameter * 2.0 ** (-_BOX_EXPONENTS.astype(float))
-            d, _ = box_dimension_estimate(cover, scales)
-            cover_dims.append(d)
-        dims = tuple(cover_dims)
+        dims = tuple(
+            _cover_dimension(spectrum_approximant(lam, level, resolution, cache_dir=cache_dir))
+            for lam in lams
+        )
     else:
         dims = tuple(float(d) for d in dims)
         if len(dims) != len(lams):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor_core import BudgetExceededError, Interval, IntervalSet, minkowski_sum, normalize
+from .cantor_core import _merge_sorted_arrays
 from .measures import BandMeasure
 
 # Inverse golden ratio; frequency of the quasiperiodic potential.
@@ -37,8 +38,9 @@ MAX_SCAN_POINTS = 10 ** 7
 # Environment variable naming a directory for the band-set disk cache.
 CACHE_ENV_VAR = "CANTOR_SPECTRA_CACHE"
 
-# Saturation bound keeping the recursion free of overflow on grids.
-_CLIP = 1e150
+# A recursion step that overflows saturates at the largest float, so wide
+# energy grids stay finite while every representable value stays exact.
+_SATURATION = float(np.finfo(float).max)
 
 # A refined band edge e must satisfy ||a_k(e)| - 1| below this.
 EDGE_VALUE_TOL = 1e-6
@@ -60,39 +62,31 @@ def half_trace(energy, coupling: float, k: int):
     """Half-trace a_k(E); accepts a scalar or an array of energies.
 
     a_{-1} = 1, a_0 = E/2, a_1 = (E - lambda)/2, then
-    a_{k+1} = 2 a_k a_{k-1} - a_{k-2}.
+    a_{k+1} = 2 a_k a_{k-1} - a_{k-2}.  A step that would overflow saturates
+    at the largest float, far outside the bands, so grids stay finite.
     """
     if coupling < 0.0:
         raise ValueError("coupling must be >= 0")
     if k < -1 or k > MAX_HALF_TRACE_LEVEL:
         raise ValueError(f"level must lie in [-1, {MAX_HALF_TRACE_LEVEL}]")
     e = np.asarray(energy, dtype=float)
-    scalar = e.ndim == 0
-    a_prev2 = np.ones_like(e)
-    a_prev1 = e / 2.0
-    if k == -1:
-        out = a_prev2
-    elif k == 0:
-        out = a_prev1
-    else:
-        a = (e - coupling) / 2.0
-        for _ in range(k - 1):
-            a, a_prev1, a_prev2 = 2.0 * a * a_prev1 - a_prev2, a, a_prev1
-        out = a
-    return float(out) if scalar else out
+    out = _half_trace(e, coupling, k)
+    return float(out) if e.ndim == 0 else out
 
 
-def _half_trace_clamped(e: np.ndarray, coupling: float, k: int) -> np.ndarray:
-    """Recursion with saturation at +-1e150: safe on wide energy grids."""
+def _half_trace(e: np.ndarray, coupling: float, k: int) -> np.ndarray:
+    """The recursion of :func:`half_trace`, for callers that checked the arguments."""
     a_prev2 = np.ones_like(e)
     a_prev1 = e / 2.0
     if k == -1:
         return a_prev2
     if k == 0:
         return a_prev1
-    a = np.clip((e - coupling) / 2.0, -_CLIP, _CLIP)
-    for _ in range(k - 1):
-        a, a_prev1, a_prev2 = np.clip(2.0 * a * a_prev1 - a_prev2, -_CLIP, _CLIP), a, a_prev1
+    a = (e - coupling) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            a_next = np.clip(2.0 * a * a_prev1 - a_prev2, -_SATURATION, _SATURATION)
+            a, a_prev1, a_prev2 = a_next, a, a_prev1
     return a
 
 
@@ -134,12 +128,12 @@ def _refine_edges(
     b = outside.astype(float).copy()
     if a.size == 0:
         return a
-    f_a = np.abs(_half_trace_clamped(a, coupling, k)) - 1.0
+    f_a = np.abs(_half_trace(a, coupling, k)) - 1.0
     for _ in range(max_iter):
         if np.all((np.abs(b - a) <= tol_e) & (np.abs(f_a) <= EDGE_VALUE_TOL)):
             break
         mid = 0.5 * (a + b)
-        f_mid = np.abs(_half_trace_clamped(mid, coupling, k)) - 1.0
+        f_mid = np.abs(_half_trace(mid, coupling, k)) - 1.0
         go_in = f_mid <= 0.0
         a = np.where(go_in, mid, a)
         f_a = np.where(go_in, f_mid, f_a)
@@ -245,7 +239,7 @@ def band_set(
             f"scan grid of {n_pts} points exceeds the {MAX_SCAN_POINTS} budget"
         )
     grid = np.linspace(window.lo, window.hi, n_pts)
-    vals = np.abs(_half_trace_clamped(grid, coupling, level)) - 1.0
+    vals = np.abs(_half_trace(grid, coupling, level)) - 1.0
     inside = vals <= 0.0
 
     if not np.any(inside):
@@ -281,6 +275,14 @@ def band_set(
     return result
 
 
+def _cover(low: BandSet, high: BandSet) -> IntervalSet:
+    """Union of the bands of two levels, merged into normalized form."""
+    return _merge_sorted_arrays(
+        np.concatenate((low.bands.los, high.bands.los)),
+        np.concatenate((low.bands.his, high.bands.his)),
+    )
+
+
 def spectrum_approximant(
     coupling: float,
     level: int,
@@ -293,10 +295,10 @@ def spectrum_approximant(
     These unions decrease with the level and contain the spectrum, so each
     one is an outer approximation.
     """
-    b1 = band_set(coupling, level, energy_window, resolution, cache_dir)
-    b2 = band_set(coupling, level + 1, energy_window, resolution, cache_dir)
-    pairs = list(zip(b1.bands.los, b1.bands.his)) + list(zip(b2.bands.los, b2.bands.his))
-    return normalize(pairs)
+    return _cover(
+        band_set(coupling, level, energy_window, resolution, cache_dir),
+        band_set(coupling, level + 1, energy_window, resolution, cache_dir),
+    )
 
 
 def sum_spectrum(
@@ -363,10 +365,14 @@ def band_dos(
     The equal-weight rule is the periodic-approximant normalization; its
     distance to the finite-chain count is a test target, not an identity.
     """
-    bs = band_set(coupling, level, energy_window, resolution, cache_dir)
+    return _equal_weight_dos(band_set(coupling, level, energy_window, resolution, cache_dir))
+
+
+def _equal_weight_dos(bs: BandSet) -> BandMeasure:
+    """Weight 1/count on each band of one level; fails on an empty band set."""
     if bs.bands.is_empty:
         raise ValueError(
-            f"no bands found at coupling {coupling}, level {level}; "
+            f"no bands found at coupling {bs.coupling}, level {bs.level}; "
             "widen the window or refine the resolution"
         )
     return BandMeasure.equal_weights_on(bs.bands)

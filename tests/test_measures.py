@@ -22,8 +22,8 @@ from cantor_spectra import (
     band_dos,
     approximant,
     cdf,
-    convolution_dim_bound,
     convolve,
+    dim_sum_bound,
     dimension_via_lyapunov,
     estimate_lyapunov,
     measure_dimension_estimate,
@@ -294,6 +294,19 @@ class TestConvolve:
         )
         assert worst <= 0.01
 
+    def test_cell_masses_match_all_pairs_oracle(self):
+        # At every cell edge the gridded cdf is exact: each cell holds the
+        # mass the atom pairs put on it, also for atoms spanning many cells.
+        rng = np.random.default_rng(np.random.Philox(53))
+        m1 = random_measure(rng, max_atoms=6, allow_points=False)
+        m2 = random_measure(rng, max_atoms=6, allow_points=False)
+        out = convolve(m1, m2, merge_granularity=0.01)
+        edges = np.union1d(out.los, out.his)
+        worst = max(
+            abs(float(cdf(out, t)) - convolution_cdf_oracle(m1, m2, float(t))) for t in edges
+        )
+        assert worst <= 1e-12
+
     def test_granularity_validation(self):
         u = BandMeasure.uniform(0, 1)
         with pytest.raises(ValueError):
@@ -454,15 +467,16 @@ class TestSingularityVerdict:
 
 
 class TestConvolutionDimBound:
+    # The dimension bound of a convolution is the clamped sum dim_sum_bound.
     def test_values(self):
-        assert convolution_dim_bound(0.4, 0.3) == 0.7
-        assert convolution_dim_bound(0.8, 0.8) == 1.0
+        assert dim_sum_bound(0.4, 0.3) == 0.7
+        assert dim_sum_bound(0.8, 0.8) == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            convolution_dim_bound(1.2, 0.3)
+            dim_sum_bound(1.2, 0.3)
         with pytest.raises(ValueError):
-            convolution_dim_bound(0.3, -0.1)
+            dim_sum_bound(0.3, -0.1)
 
 
 # --------------------------------------------------------------------------

@@ -8,12 +8,14 @@ byte-level expectations assembled by hand.
 
 import csv
 import json
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import cantor_spectra.phase_diagram as pd_mod
+import cantor_spectra.spectrum as spectrum_mod
 from cantor_spectra import (
     ACDS,
     PMSD,
@@ -156,6 +158,20 @@ class TestDimsForLambda:
         with pytest.raises(ValueError):
             dims_for_lambda(0.0)
 
+    def test_builds_each_level_once(self, monkeypatch):
+        # The cover and the density of states share the level-k bands.
+        levels = Counter()
+        real = spectrum_mod.band_set
+
+        def counting(coupling, level, *args, **kwargs):
+            levels[level] += 1
+            return real(coupling, level, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "band_set", counting)
+        monkeypatch.setattr(pd_mod, "band_set", counting, raising=False)
+        dims_for_lambda(1.0, 8, 1e-3, 400, 0, None)
+        assert levels == {8: 1, 9: 1}
+
     def test_dos_estimate_is_interval(self, tmp_path):
         est = dos_dimension_estimate(1.0, level=8, resolution=1e-3, cache_dir=str(tmp_path))
         assert 0.0 <= est.lower <= est.upper <= 1.0
@@ -295,6 +311,13 @@ class TestMonotonicityReport:
         assert len(r.dims) == 3 and len(r.slopes) == 2
         assert all(0.0 < d <= 1.05 for d in r.dims)
         assert r.all_negative  # cover dimension falls as coupling grows
+
+    def test_cover_dims_match_dims_for_lambda(self, tmp_path):
+        cache = str(tmp_path)
+        lams = (0.5, 2.0, 6.0)
+        r = monotonicity_report(lams, level=8, resolution=1e-3, cache_dir=cache)
+        want = tuple(dims_for_lambda(lam, 8, 1e-3, 400, 0, cache)[0] for lam in lams)
+        assert r.dims == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ Oracles used here, all independent of the implementation:
  * the zero-coupling closed form a_k(2 cos t) = cos(F_k t) with F_k the
    degree sequence, which pins every band set at coupling zero to [-2, 2];
  * leading-term growth a_k(E) ~ E**deg / 2 for large E;
+ * the recursion written out without saturation, wherever it stays finite;
  * the substitution word 0 -> 01, 1 -> 0 for the on-site potential;
  * dense symmetric eigensolving (numpy eigvalsh) for the finite-chain
    eigenvalue counts.
@@ -13,6 +14,7 @@ Oracles used here, all independent of the implementation:
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +39,6 @@ from cantor_spectra import (
     sum_spectrum,
     trace_step,
 )
-from cantor_spectra.spectrum import _half_trace_clamped
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -50,6 +51,18 @@ def fibonacci_number(k: int) -> int:
     for _ in range(k + 1):
         prev, cur = cur, cur + prev
     return prev
+
+
+def plain_half_trace(e: np.ndarray, coupling: float, k: int) -> np.ndarray:
+    """The half-trace recursion written out without saturation."""
+    a_prev2, a_prev1, a = np.ones_like(e), e / 2.0, (e - coupling) / 2.0
+    if k == -1:
+        return a_prev2
+    if k == 0:
+        return a_prev1
+    for _ in range(k - 1):
+        a, a_prev1, a_prev2 = 2.0 * a * a_prev1 - a_prev2, a, a_prev1
+    return a
 
 
 def substitution_word(n: int) -> str:
@@ -133,17 +146,28 @@ class TestHalfTrace:
             half_trace(0.0, 1.0, -2)
 
     def test_clamped_variant_matches_when_in_range(self):
+        # Saturation leaves every value the plain recursion can represent
+        # untouched.
         grid = np.linspace(-3.0, 3.0, 101)
         for k in (-1, 0, 1, 5, 10):
-            assert np.array_equal(
-                _half_trace_clamped(grid, 1.0, k), half_trace(grid, 1.0, k)
-            )
+            assert np.array_equal(half_trace(grid, 1.0, k), plain_half_trace(grid, 1.0, k))
 
     def test_clamped_variant_saturates(self):
-        grid = np.array([50.0])
-        out = _half_trace_clamped(grid, 0.0, 20)
+        # The plain recursion overflows here; the saturated one stops at
+        # the largest float.
+        out = half_trace(np.array([50.0]), 0.0, 20)
         assert np.all(np.isfinite(out))
-        assert np.all(np.abs(out) <= 1e150)
+        assert np.all(np.abs(out) == np.finfo(float).max)
+
+    def test_gap_grid_raises_no_warning(self):
+        # Inside the gaps at coupling 8, level 15, the unsaturated
+        # recursion overflows on a grid across the default energy window.
+        window = default_energy_window(8.0)
+        grid = np.linspace(window.lo, window.hi, 20001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = half_trace(grid, 8.0, 15)
+        assert np.all(np.isfinite(out))
 
 
 # --------------------------------------------------------------------------
