@@ -15,6 +15,9 @@ Subpackages by theme:
 * :mod:`cantor_spectra.cli` -- command-line front end.
 """
 
+# The one source of the package version (pyproject.toml reads it from here).
+__version__ = "0.1.0"
+
 from .cantor_core import (
     BudgetExceededError,
     CantorSystem,
@@ -66,8 +69,6 @@ from .phase_diagram import (
 )
 from .spectrum import (
     ALPHA,
-    CACHE_ENV_VAR,
-    EDGE_VALUE_TOL,
     MAX_HALF_TRACE_LEVEL,
     BandSet,
     band_dos,
@@ -77,7 +78,6 @@ from .spectrum import (
     finite_chain_dos,
     half_trace,
     half_trace_degree,
-    resolve_cache_dir,
     spectrum_approximant,
     sum_spectrum,
 )
@@ -91,5 +91,3 @@ from .trace_dynamics import (
     surface_residual,
     trace_step,
 )
-
-__version__ = "0.1.0"

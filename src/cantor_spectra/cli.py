@@ -1,9 +1,14 @@
 """Command-line front end.
 
-One binary with subcommands, a shared result cache, and deterministic output:
-every floating-point value is printed with 12 significant digits, every JSON
-document carries a schema_version field, and identical invocations produce
-identical bytes whether the cache is cold or warm.
+One binary with subcommands and deterministic output: every floating-point
+value is printed with 12 significant digits, except the atoms of a measure,
+which are written at full precision so that a measure file reads back
+exactly; every JSON document carries a schema_version field, and identical
+invocations produce identical bytes.
+
+The flags --resolution, --cache and --threads are accepted, checked and
+ignored, so that older invocations keep working: band sets are exact,
+computed in one pass, and never cached.
 
 Exit codes: 0 on success, 1 on a computational failure (reported as a JSON
 object on stderr), 2 on a usage error.
@@ -30,7 +35,6 @@ from .measures import (
 from .phase_diagram import (
     DEFAULT_LEVEL,
     DEFAULT_MARGIN,
-    DEFAULT_RESOLUTION,
     DEFAULT_SAMPLES,
     InconsistentDimensionsError,
     lambda_range,
@@ -59,8 +63,6 @@ class RunConfig:
     command: str
     params: dict
     fmt: str
-    cache_dir: str | None
-    threads: int
 
 
 def _round12(x: float) -> float:
@@ -81,7 +83,8 @@ def _rounded(obj):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_rounded(payload), indent=2) + "\n")
+    out = {k: v if k == "atoms" else _rounded(v) for k, v in payload.items()}
+    sys.stdout.write(json.dumps(out, indent=2) + "\n")
 
 
 def _grid_spec(text: str):
@@ -100,10 +103,8 @@ def parse_args(argv) -> RunConfig:
         "arithmetic, and the coupling-plane regime map.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", metavar="DIR", default=None, help="band-set cache directory")
-    common.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="parallel workers"
-    )
+    common.add_argument("--cache", metavar="DIR", help="accepted and ignored")
+    common.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,7 +117,7 @@ def parse_args(argv) -> RunConfig:
     p = sub.add_parser("spectrum", parents=[common], help="band cover of one spectrum")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--resolution", type=float, default=1e-4)
+    p.add_argument("--resolution", type=float, help="accepted and ignored")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
@@ -125,7 +126,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--resolution", type=float, default=1e-4)
+    p.add_argument("--resolution", type=float, help="accepted and ignored")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
@@ -133,7 +134,7 @@ def parse_args(argv) -> RunConfig:
     p = sub.add_parser("dos", parents=[common], help="band density of states")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--resolution", type=float, default=1e-4)
+    p.add_argument("--resolution", type=float, help="accepted and ignored")
     p.add_argument(
         "--oracle-sites",
         type=int,
@@ -160,7 +161,7 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--l1", metavar="LO:HI:N", required=True)
     p.add_argument("--l2", metavar="LO:HI:N", required=True)
     p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
+    p.add_argument("--resolution", type=float, help="accepted and ignored")
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
@@ -214,15 +215,9 @@ def parse_args(argv) -> RunConfig:
     if ns.threads < 1:
         parser.error("--threads must be >= 1")
 
-    known = {"command", "fmt", "cache", "threads"}
-    params = {k: v for k, v in vars(ns).items() if k not in known}
-    return RunConfig(
-        command=ns.command,
-        params=params,
-        fmt=getattr(ns, "fmt", None) or "json",
-        cache_dir=ns.cache,
-        threads=ns.threads,
-    )
+    ignored = {"command", "fmt", "cache", "threads", "resolution"}
+    params = {k: v for k, v in vars(ns).items() if k not in ignored}
+    return RunConfig(command=ns.command, params=params, fmt=getattr(ns, "fmt", None) or "json")
 
 
 def _atom_rows(m: BandMeasure) -> list[list[float]]:
@@ -266,34 +261,26 @@ def _run_orbit(cfg: RunConfig) -> None:
 
 def _run_spectrum(cfg: RunConfig) -> None:
     p = cfg.params
-    s = spectrum_approximant(p["lam"], p["level"], p["resolution"], cache_dir=cfg.cache_dir)
-    extra = {"lambda": p["lam"], "level": p["level"], "resolution": p["resolution"]}
+    s = spectrum_approximant(p["lam"], p["level"])
+    extra = {"lambda": p["lam"], "level": p["level"]}
     _emit_intervals("spectrum", s, cfg.fmt, extra)
 
 
 def _run_sumset(cfg: RunConfig) -> None:
     p = cfg.params
-    s = sum_spectrum(
-        p["lambda1"], p["lambda2"], p["level"], p["resolution"], cache_dir=cfg.cache_dir
-    )
-    extra = {
-        "lambda1": p["lambda1"],
-        "lambda2": p["lambda2"],
-        "level": p["level"],
-        "resolution": p["resolution"],
-    }
+    s = sum_spectrum(p["lambda1"], p["lambda2"], p["level"])
+    extra = {"lambda1": p["lambda1"], "lambda2": p["lambda2"], "level": p["level"]}
     _emit_intervals("sumset", s, cfg.fmt, extra)
 
 
 def _run_dos(cfg: RunConfig) -> None:
     p = cfg.params
-    m = band_dos(p["lam"], p["level"], p["resolution"], cache_dir=cfg.cache_dir)
+    m = band_dos(p["lam"], p["level"])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "dos",
         "lambda": p["lam"],
         "level": p["level"],
-        "resolution": p["resolution"],
         "atoms": _atom_rows(m),
     }
     if p["oracle_sites"] is not None:
@@ -355,12 +342,9 @@ def _run_phase(cfg: RunConfig) -> None:
         l1,
         l2,
         level=p["level"],
-        resolution=p["resolution"],
         margin=p["margin"],
         samples=p["samples"],
         seed=p["seed"],
-        cache_dir=cfg.cache_dir,
-        n_workers=cfg.threads,
     )
     out = p["out"]
     os.makedirs(out, exist_ok=True)

@@ -16,6 +16,7 @@ exponent of the trace map turns entropy into a dimension benchmark.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -391,6 +392,21 @@ class DimensionEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
+def _percentile(ascending: np.ndarray, q: float) -> float:
+    """np.percentile(ascending, q) by its default linear rule, bit for bit.
+
+    Written out because np.percentile imports numpy.ma on first use, about
+    14 ms of every CLI process that estimates a dimension.
+    """
+    n = ascending.size
+    pos = (n - 1) * (q / 100.0)  # 0 <= pos <= n - 1 for q in [0, 100]
+    i = math.floor(pos)
+    j = min(i + 1, n - 1)
+    t = pos - i
+    a, b = float(ascending[i]), float(ascending[j])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def measure_dimension_estimate(
     m: BandMeasure,
     n_samples: int,
@@ -428,8 +444,9 @@ def measure_dimension_estimate(
         raise EstimationFailedError(
             "too few sampled points carried measurable ball mass"
         )
-    lower = float(np.percentile(alphas, 5.0))
-    upper = float(np.percentile(alphas, 95.0))
+    alphas = np.sort(alphas)
+    lower = _percentile(alphas, 5.0)
+    upper = _percentile(alphas, 95.0)
     lower = min(max(lower, 0.0), 1.0)
     upper = min(max(upper, 0.0), 1.0)
     if lower > upper:

@@ -17,15 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .cantor_core import IntervalSet, box_dimension_estimate
 from .measures import BandMeasure, DimensionEstimate, measure_dimension_estimate
-from .spectrum import _cover, _equal_weight_dos, band_dos, band_set, spectrum_approximant
+from .spectrum import BandSet, _band_sets, _cover, band_dos
 
 __all__ = [
     "ACDS",
@@ -35,7 +34,6 @@ __all__ = [
     "REGIMES",
     "DEFAULT_LEVEL",
     "DEFAULT_MARGIN",
-    "DEFAULT_RESOLUTION",
     "DEFAULT_SAMPLES",
     "PGM_SHADE",
     "InconsistentDimensionsError",
@@ -61,7 +59,6 @@ REGIMES = (ACDS, PMSD, ZMSP, UNRESOLVED)
 
 DEFAULT_LEVEL = 12
 DEFAULT_MARGIN = 0.05
-DEFAULT_RESOLUTION = 3e-6
 DEFAULT_SAMPLES = 400
 
 # Per-coupling ordering slack: the density-of-states dimension may exceed the
@@ -171,36 +168,32 @@ def _dos_dimension(dos: BandMeasure, samples: int, seed: int) -> DimensionEstima
 def dos_dimension_estimate(
     coupling: float,
     level: int = DEFAULT_LEVEL,
-    resolution: float = DEFAULT_RESOLUTION,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cache_dir: str | None = None,
 ) -> DimensionEstimate:
     """Dimension estimate of the band density of states at one coupling."""
-    return _dos_dimension(band_dos(coupling, level, resolution, cache_dir=cache_dir), samples, seed)
+    return _dos_dimension(band_dos(coupling, level), samples, seed)
+
+
+def _dims(low: BandSet, high: BandSet, samples: int, seed: int) -> tuple[float, float]:
+    """(cover dimension, density-of-states dimension) of one coupling from its
+    level-k and level-(k+1) band sets."""
+    dim_sigma = _cover_dimension(_cover(low, high))
+    est = _dos_dimension(BandMeasure.equal_weights_on(low.bands), samples, seed)
+    return dim_sigma, est.midpoint
 
 
 def dims_for_lambda(
     coupling: float,
     level: int = DEFAULT_LEVEL,
-    resolution: float = DEFAULT_RESOLUTION,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cache_dir: str | None = None,
 ) -> tuple[float, float]:
-    """(cover dimension, density-of-states dimension) from one band set per level k, k+1."""
+    """(cover dimension, density-of-states dimension) from one engine pass over levels k, k+1."""
     if not (coupling > 0.0):
         raise ValueError("coupling must be > 0")
-    low = band_set(coupling, level, None, resolution, cache_dir)
-    high = band_set(coupling, level + 1, None, resolution, cache_dir)
-    dim_sigma = _cover_dimension(_cover(low, high))
-    est = _dos_dimension(_equal_weight_dos(low), samples, seed)
-    return dim_sigma, est.midpoint
-
-
-def _dims_task(args: tuple) -> tuple[float, tuple[float, float]]:
-    coupling, level, resolution, samples, seed, cache_dir = args
-    return coupling, dims_for_lambda(coupling, level, resolution, samples, seed, cache_dir)
+    low, high = _band_sets((coupling,), (level, level + 1))[0]
+    return _dims(low, high, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -211,7 +204,6 @@ class PhaseDiagram:
     lambdas2: tuple[float, ...]
     cells: tuple[PhaseCell, ...]
     level: int
-    resolution: float
     margin: float
     samples: int
     seed: int
@@ -242,9 +234,8 @@ class PhaseDiagram:
         return {
             "schema_version": 1,
             "tool": "cantor-spectra",
-            "tool_version": _tool_version(),
+            "tool_version": __version__,
             "level": self.level,
-            "resolution": self.resolution,
             "margin": self.margin,
             "samples": self.samples,
             "seed": self.seed,
@@ -253,15 +244,6 @@ class PhaseDiagram:
             "regime_counts": self.regime_counts(),
             "unresolved_fraction": self.unresolved_fraction(),
         }
-
-
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("cantor-spectra")
-    except Exception:
-        return "unknown"
 
 
 def lambda_range(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -283,19 +265,20 @@ def sweep(
     lambdas_1,
     lambdas_2,
     level: int = DEFAULT_LEVEL,
-    resolution: float = DEFAULT_RESOLUTION,
     margin: float = DEFAULT_MARGIN,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cache_dir: str | None = None,
+    *,
+    resolution: float | None = None,
     n_workers: int = 1,
 ) -> PhaseDiagram:
     """Classify every coupling pair on the grid.
 
-    Dimensions are computed once per distinct coupling and shared between the
-    two axes, so the classification is symmetric by construction.  With
-    n_workers > 1 the per-coupling pass runs in worker processes; the cell
-    pass is cheap and stays serial, ordered by (row, column).
+    One engine pass builds levels k and k+1 for every distinct coupling;
+    dimensions are then computed once per coupling and shared between the
+    two axes, so the classification is symmetric by construction.  Cells
+    are ordered by (row, column).  ``resolution`` and ``n_workers`` are
+    accepted for older callers and ignored.
     """
     l1 = tuple(float(x) for x in lambdas_1)
     l2 = tuple(float(x) for x in lambdas_2)
@@ -303,16 +286,12 @@ def sweep(
         raise ValueError("grid axes must be non-empty")
     if any(not (x > 0.0) for x in l1 + l2):
         raise ValueError("couplings must be > 0")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
 
     distinct = sorted(set(l1) | set(l2))
-    tasks = [(lam, level, resolution, samples, seed, cache_dir) for lam in distinct]
-    if n_workers == 1 or len(tasks) == 1:
-        dims = dict(_dims_task(t) for t in tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            dims = dict(pool.map(_dims_task, tasks))
+    dims = {
+        low.coupling: _dims(low, high, samples, seed)
+        for low, high in _band_sets(distinct, (level, level + 1))
+    }
 
     cells = []
     for lam2 in l2:
@@ -321,7 +300,7 @@ def sweep(
             s1, n1 = dims[lam1]
             regime = classify(s1 + s2, n1 + n2, margin)
             cells.append(PhaseCell(lam1, lam2, s1, s2, n1, n2, regime))
-    return PhaseDiagram(l1, l2, tuple(cells), level, resolution, margin, samples, seed)
+    return PhaseDiagram(l1, l2, tuple(cells), level, margin, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -341,8 +320,6 @@ class MonotonicityReport:
 def monotonicity_report(
     lambdas,
     level: int = DEFAULT_LEVEL,
-    resolution: float = DEFAULT_RESOLUTION,
-    cache_dir: str | None = None,
     dims=None,
     near_zero: float = 1e-3,
 ) -> MonotonicityReport:
@@ -360,8 +337,8 @@ def monotonicity_report(
         raise ValueError("couplings must be strictly increasing")
     if dims is None:
         dims = tuple(
-            _cover_dimension(spectrum_approximant(lam, level, resolution, cache_dir=cache_dir))
-            for lam in lams
+            _cover_dimension(_cover(low, high))
+            for low, high in _band_sets(lams, (level, level + 1))
         )
     else:
         dims = tuple(float(d) for d in dims)
@@ -416,7 +393,6 @@ def write_pgm(diagram: PhaseDiagram, path: str) -> None:
 
 def write_provenance(diagram: PhaseDiagram, path: str) -> None:
     prov = diagram.provenance()
-    prov["resolution"] = float(_fmt(prov["resolution"]))
     prov["margin"] = float(_fmt(prov["margin"]))
     prov["lambda1_grid"] = [float(_fmt(x)) for x in prov["lambda1_grid"]]
     prov["lambda2_grid"] = [float(_fmt(x)) for x in prov["lambda2_grid"]]

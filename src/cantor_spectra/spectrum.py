@@ -4,9 +4,11 @@ The half-traces a_k(E) obey a_{k+1} = 2 a_k a_{k-1} - a_{k-2} starting
 from ((E - lambda)/2, E/2, 1); their unit sublevel sets
 sigma_k = {E : |a_k(E)| <= 1} are the spectra of the periodic
 approximants, and sigma_k united with sigma_{k+1} is a cover of the true
-spectrum that shrinks to it as k grows.  Band edges are found by a grid
-scan plus bisection; the resulting interval unions feed the Cantor-set
-machinery in :mod:`cantor_core`.
+spectrum that shrinks to it as k grows.  For lambda > 0, sigma_k has
+exactly F_k = deg a_k bands, each holding one zero of a_k; the band engine
+finds them all, level by level, from brackets built out of the two levels
+below (Suto, CMP 1987; Raymond 1997).  The resulting interval unions feed
+the Cantor-set machinery in :mod:`cantor_core`.
 
 Two independent routes to the density of states are provided: equal band
 weights on a level-k cover (the periodic-approximant weighting) and
@@ -17,15 +19,13 @@ the other.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .cantor_core import BudgetExceededError, Interval, IntervalSet, minkowski_sum, normalize
+from .cantor_core import BudgetExceededError, Interval, IntervalSet, minkowski_sum
 from .cantor_core import _merge_sorted_arrays
 from .measures import BandMeasure
 
@@ -33,17 +33,33 @@ from .measures import BandMeasure
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_HALF_TRACE_LEVEL = 40
-MAX_SCAN_POINTS = 10 ** 7
 
-# Environment variable naming a directory for the band-set disk cache.
-CACHE_ENV_VAR = "CANTOR_SPECTRA_CACHE"
+# Most bands one engine pass may hold, summed over its couplings.  Its
+# working arrays take about 190 bytes per band (measured at level 25), so
+# 2**20 bands, level 29 at one coupling, stay near 200 MB.
+MAX_ENGINE_BANDS = 2 ** 20
 
 # A recursion step that overflows saturates at the largest float, so wide
 # energy grids stay finite while every representable value stays exact.
 _SATURATION = float(np.finfo(float).max)
 
-# A refined band edge e must satisfy ||a_k(e)| - 1| below this.
-EDGE_VALUE_TOL = 1e-6
+# The band engine clips its traces to +-_TRACE_CAP every _CLIP_EVERY steps:
+# six unclipped steps from the cap stay below 2**700, so nothing overflows.
+# A trace this large has escaped for good, so clipping keeps its sign and
+# its place outside the bands.
+_TRACE_CAP = 2.0 ** 32
+_CLIP_EVERY = 6
+
+# Halvings of each engine bracket: brackets are at most 2 (3 + lambda)
+# wide, so 56 halvings reach the float spacing of the energies.
+_HALVINGS = 56
+
+# Golden-section steps allowed for finding a point of a gap.  A gap that
+# is not found by then is narrower than the float resolution of |a_k| and
+# its two bands come out merged: at levels 8 and 13 every band is found
+# down to coupling 1e-6, and some merge at 1e-8.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 80
 
 
 def half_trace_degree(k: int) -> int:
@@ -70,24 +86,19 @@ def half_trace(energy, coupling: float, k: int):
     if k < -1 or k > MAX_HALF_TRACE_LEVEL:
         raise ValueError(f"level must lie in [-1, {MAX_HALF_TRACE_LEVEL}]")
     e = np.asarray(energy, dtype=float)
-    out = _half_trace(e, coupling, k)
-    return float(out) if e.ndim == 0 else out
-
-
-def _half_trace(e: np.ndarray, coupling: float, k: int) -> np.ndarray:
-    """The recursion of :func:`half_trace`, for callers that checked the arguments."""
     a_prev2 = np.ones_like(e)
     a_prev1 = e / 2.0
     if k == -1:
-        return a_prev2
-    if k == 0:
-        return a_prev1
-    a = (e - coupling) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            a_next = np.clip(2.0 * a * a_prev1 - a_prev2, -_SATURATION, _SATURATION)
-            a, a_prev1, a_prev2 = a_next, a, a_prev1
-    return a
+        out = a_prev2
+    elif k == 0:
+        out = a_prev1
+    else:
+        out = (e - coupling) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k - 1):
+                a_next = np.clip(2.0 * out * a_prev1 - a_prev2, -_SATURATION, _SATURATION)
+                out, a_prev1, a_prev2 = a_next, out, a_prev1
+    return float(out) if e.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -107,172 +118,176 @@ class BandSet:
 
 
 def default_energy_window(coupling: float) -> Interval:
-    """Window [-(3 + lambda), 3 + lambda] containing the spectrum with margin."""
+    """Window [-(3 + lambda), 3 + lambda] containing every band with margin."""
     return Interval(-(3.0 + coupling), 3.0 + coupling)
 
 
-def _refine_edges(
-    coupling: float,
-    k: int,
-    inside: np.ndarray,
-    outside: np.ndarray,
-    tol_e: float,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Bisect |a_k| - 1 between inside (<= 0) and outside (> 0) points.
+# -- the band engine ------------------------------------------------------
 
-    Returns the inside endpoints of the final brackets, so reported edges
-    satisfy |a_k(e)| <= 1 with residual below EDGE_VALUE_TOL.
+
+def _traces(e: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
+    """Traces x_level = 2 a_level at energies e, for couplings lam broadcast against e.
+
+    x_{k+1} = x_k x_{k-1} - x_{k-2} is the half-trace recursion scaled by
+    two, which is exact in floats, so |x| <= 2 exactly where |a| <= 1.
+    Traces beyond _TRACE_CAP are clipped to it every _CLIP_EVERY steps.
     """
-    a = inside.astype(float).copy()
-    b = outside.astype(float).copy()
-    if a.size == 0:
-        return a
-    f_a = np.abs(_half_trace(a, coupling, k)) - 1.0
-    for _ in range(max_iter):
-        if np.all((np.abs(b - a) <= tol_e) & (np.abs(f_a) <= EDGE_VALUE_TOL)):
+    if level == 0:
+        return e.copy()
+    x_prev1 = e - lam
+    if level == 1:
+        return x_prev1
+    x_prev2 = e.copy()
+    x = x_prev1 * e
+    x -= 2.0
+    spare = np.empty_like(x)
+    for step in range(2, level):
+        np.multiply(x, x_prev1, out=spare)
+        np.subtract(spare, x_prev2, out=spare)
+        x_prev2, x_prev1, x, spare = x_prev1, x, spare, x_prev2
+        if step % _CLIP_EVERY == 0:
+            for v in (x_prev2, x_prev1, x):
+                np.minimum(v, _TRACE_CAP, out=v)
+                np.maximum(v, -_TRACE_CAP, out=v)
+    return x
+
+
+def _bisect(keep: np.ndarray, other: np.ndarray, holds) -> np.ndarray:
+    """The ``keep`` ends after _HALVINGS halvings of the brackets [keep, other].
+
+    ``holds`` is true at every keep end and false at every other end; a
+    keep end only ever moves to a midpoint where ``holds`` is true.
+    """
+    keep = keep.copy()
+    step = other - keep
+    for _ in range(_HALVINGS):
+        step *= 0.5
+        mid = keep + step
+        np.copyto(keep, mid, where=holds(mid))
+    return keep
+
+
+def _gap_points(zeros: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
+    """One energy with |a_level| > 1 between each two consecutive zeros of a_level.
+
+    Between consecutive zeros |a| rises to one maximum and falls, so a
+    golden-section search for that maximum meets the gap; each search stops
+    at its first point inside the gap.
+    """
+    a = zeros[:, :-1].ravel()
+    b = zeros[:, 1:].ravel()
+    lam = np.broadcast_to(lam, zeros[:, 1:].shape).ravel()
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc = np.abs(_traces(c, lam, level))
+    fd = np.abs(_traces(d, lam, level))
+    found = np.where(fc > fd, c, d)
+    todo = np.flatnonzero(np.maximum(fc, fd) <= 2.0)
+    a, b, c, d, fc, fd, lam = (v[todo] for v in (a, b, c, d, fc, fd, lam))
+    for _ in range(_GOLDEN_STEPS):
+        if todo.size == 0:
             break
-        mid = 0.5 * (a + b)
-        f_mid = np.abs(_half_trace(mid, coupling, k)) - 1.0
-        go_in = f_mid <= 0.0
-        a = np.where(go_in, mid, a)
-        f_a = np.where(go_in, f_mid, f_a)
-        b = np.where(go_in, b, mid)
-    return a
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = np.abs(_traces(x, lam, level))
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        hit = fx > 2.0
+        found[todo[hit]] = x[hit]
+        rest = ~hit
+        todo, a, b, c, d, fc, fd, lam = (v[rest] for v in (todo, a, b, c, d, fc, fd, lam))
+    return found.reshape(zeros.shape[0], -1)
 
 
-def _cache_path(cache_dir: str, coupling: float, level: int, resolution: float) -> str:
-    return os.path.join(cache_dir, f"bands_{coupling:.12g}_{level}_{resolution:.12g}.json")
+def _band_edges(couplings, levels: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Band edges of sigma_k for every coupling > 0 and every requested level k.
 
+    Returns one (los, his) pair per level, each of shape (couplings, F_k),
+    row i belonging to couplings[i]; rows do not depend on one another, so a
+    row is bitwise the same whether its coupling comes alone or in a batch.
 
-def _cache_load(path: str, coupling: float, level: int, resolution: float, window: Interval):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if payload.get("schema_version") != 1:
-        return None
-    if (
-        payload.get("coupling") != coupling
-        or payload.get("level") != level
-        or payload.get("resolution") != resolution
-        or payload.get("window") != [window.lo, window.hi]
-    ):
-        return None
-    return IntervalSet(payload["intervals"])
-
-
-def _cache_store(
-    path: str,
-    coupling: float,
-    level: int,
-    resolution: float,
-    window: Interval,
-    bands: IntervalSet,
-) -> None:
-    payload = {
-        "schema_version": 1,
-        "coupling": coupling,
-        "level": level,
-        "resolution": resolution,
-        "window": [window.lo, window.hi],
-        "intervals": [[lo, hi] for lo, hi in zip(bands.los, bands.his)],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)  # atomic publish, safe under concurrent writers
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def resolve_cache_dir(cache_dir: str | None) -> str | None:
-    if cache_dir is not None:
-        return cache_dir
-    return os.environ.get(CACHE_ENV_VAR) or None
-
-
-def band_set(
-    coupling: float,
-    level: int,
-    energy_window: Interval | None = None,
-    resolution: float = 1e-4,
-    cache_dir: str | None = None,
-) -> BandSet:
-    """Bands of |a_level| <= 1 over the window by scan plus bisection.
-
-    The grid step equals ``resolution``; each sign change of |a_k| - 1 is
-    refined by bisection until the bracket is narrower than
-    resolution * 1e-3 and the edge residual is below EDGE_VALUE_TOL.
-    Bands narrower than the grid step can be missed; that is the
-    resolution contract.  With a cache directory (argument or the
-    CANTOR_SPECTRA_CACHE variable) results are stored at full precision
-    keyed by (coupling, level, resolution).
+    Level by level from j = 2: the zeros of a_{j-1} and one gap point per gap
+    of sigma_{j-2}, with the window ends, are F_j + 1 separators that isolate
+    the F_j zeros of a_j, one per bracket; the window ends are those of
+    :func:`default_energy_window`.  Each zero is bisected with the
+    sign its bracket's left end has by alternation, (-1)**(F_j - i), so a
+    zero that agrees with a separator to the last bit lands on it instead of
+    being lost.  Then one gap point between each two consecutive zeros and
+    bisection of |a_j| - 1 between each zero and its neighbouring gap points
+    give the edges, always keeping the inside end, so every edge satisfies
+    |a_j| <= 1.
     """
-    if coupling < 0.0:
+    lam = np.asarray(couplings, dtype=float).reshape(-1, 1)
+    left_end, right_end = -(3.0 + lam), 3.0 + lam
+    zeros = (np.zeros_like(lam), lam)  # of a_0 and a_1
+    gaps = (lam[:, :0], lam[:, :0])  # of sigma_0 and sigma_1: none
+    edges = {0: (np.full_like(lam, -2.0), np.full_like(lam, 2.0)), 1: (lam - 2.0, lam + 2.0)}
+    for j in range(2, max(levels) + 1):
+        inner = np.sort(np.concatenate((zeros[1], gaps[0]), axis=1), axis=1)
+        sep = np.concatenate((left_end, inner, right_end), axis=1)
+        count = sep.shape[1] - 1
+        sign = np.where((count - np.arange(count)) % 2 == 0, 1.0, -1.0)
+        z = _bisect(sep[:, :-1], sep[:, 1:], lambda e: _traces(e, lam, j) * sign > 0.0)
+        g = _gap_points(z, lam, j)
+        zeros, gaps = (zeros[1], z), (gaps[1], g)
+        if j in levels:
+            outside = np.concatenate((left_end, g, g, right_end), axis=1)
+            inside = _bisect(
+                np.concatenate((z, z), axis=1),
+                outside,
+                lambda e: np.abs(_traces(e, lam, j)) <= 2.0,
+            )
+            edges[j] = (inside[:, :count], inside[:, count:])
+    return [edges[k] for k in levels]
+
+
+def _band_sets(couplings: Sequence[float], levels: Sequence[int]) -> list[list[BandSet]]:
+    """Band sets of each coupling at each level, from one engine pass.
+
+    At coupling zero a_k(2 cos t) = cos(F_k t), so every level is the one
+    band [-2, 2].
+    """
+    lams = [float(c) for c in couplings]
+    if any(c < 0.0 for c in lams):
         raise ValueError("coupling must be >= 0")
-    if level < 0 or level > MAX_HALF_TRACE_LEVEL:
+    if any(k < 0 or k > MAX_HALF_TRACE_LEVEL for k in levels):
         raise ValueError(f"level must lie in [0, {MAX_HALF_TRACE_LEVEL}]")
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    window = energy_window if energy_window is not None else default_energy_window(coupling)
-    if window.length <= 0.0:
-        raise ValueError("energy window must have positive length")
-
-    cache = resolve_cache_dir(cache_dir)
-    if cache is not None:
-        path = _cache_path(cache, coupling, level, resolution)
-        hit = _cache_load(path, coupling, level, resolution, window)
-        if hit is not None:
-            return BandSet(coupling, level, hit)
-
-    n_pts = int(math.ceil(window.length / resolution)) + 1
-    if n_pts > MAX_SCAN_POINTS:
+    positive = [c for c in lams if c > 0.0]
+    n_bands = len(positive) * half_trace_degree(max(levels))
+    if n_bands > MAX_ENGINE_BANDS:
         raise BudgetExceededError(
-            f"scan grid of {n_pts} points exceeds the {MAX_SCAN_POINTS} budget"
+            f"{n_bands} bands at level {max(levels)} exceed the {MAX_ENGINE_BANDS} budget"
         )
-    grid = np.linspace(window.lo, window.hi, n_pts)
-    vals = np.abs(_half_trace(grid, coupling, level)) - 1.0
-    inside = vals <= 0.0
+    edges = _band_edges(positive, levels) if positive else []
+    rows = iter(range(len(positive)))
+    out = []
+    for c in lams:
+        if c == 0.0:
+            out.append([BandSet(c, k, IntervalSet([(-2.0, 2.0)])) for k in levels])
+            continue
+        i = next(rows)
+        out.append(
+            [
+                BandSet(c, k, _merge_sorted_arrays(lo[i], hi[i]))
+                for k, (lo, hi) in zip(levels, edges)
+            ]
+        )
+    return out
 
-    if not np.any(inside):
-        result = BandSet(coupling, level, IntervalSet())
-        if cache is not None:
-            _cache_store(path, coupling, level, resolution, window, result.bands)
-        return result
 
-    flips = np.diff(inside.astype(np.int8))
-    starts = np.flatnonzero(flips == 1) + 1  # first inside index of each run
-    ends = np.flatnonzero(flips == -1)  # last inside index of each run
-    if inside[0]:
-        starts = np.concatenate(([0], starts))
-    if inside[-1]:
-        ends = np.concatenate((ends, [n_pts - 1]))
+def band_set(coupling: float, level: int) -> BandSet:
+    """All bands of |a_level| <= 1: exactly F_level of them for coupling > 0.
 
-    tol_e = resolution * 1e-3
-    left = grid[starts].astype(float)
-    refine_left = starts > 0
-    left[refine_left] = _refine_edges(
-        coupling, level, grid[starts[refine_left]], grid[starts[refine_left] - 1], tol_e
-    )
-    right = grid[ends].astype(float)
-    refine_right = ends < n_pts - 1
-    right[refine_right] = _refine_edges(
-        coupling, level, grid[ends[refine_right]], grid[ends[refine_right] + 1], tol_e
-    )
+    Every edge e is an inside point, |a_level(e)| <= 1, within a few float
+    spacings of the true edge.
+    """
+    return _band_sets((coupling,), (level,))[0][0]
 
-    bands = normalize(list(zip(left, right)))
-    result = BandSet(coupling, level, bands)
-    if cache is not None:
-        _cache_store(path, coupling, level, resolution, window, result.bands)
-    return result
+
+def resolve_cache_dir(cache_dir: str | None = None) -> None:
+    """Always None, for callers of the former disk cache: band sets are never cached."""
+    return None
 
 
 def _cover(low: BandSet, high: BandSet) -> IntervalSet:
@@ -284,33 +299,21 @@ def _cover(low: BandSet, high: BandSet) -> IntervalSet:
 
 
 def spectrum_approximant(
-    coupling: float,
-    level: int,
-    resolution: float = 1e-4,
-    energy_window: Interval | None = None,
-    cache_dir: str | None = None,
+    coupling: float, level: int, resolution: float | None = None
 ) -> IntervalSet:
     """Cover sigma_level united with sigma_{level+1}, normalized.
 
     These unions decrease with the level and contain the spectrum, so each
-    one is an outer approximation.
+    one is an outer approximation.  ``resolution`` is accepted for older
+    callers and ignored: the bands are exact.
     """
-    return _cover(
-        band_set(coupling, level, energy_window, resolution, cache_dir),
-        band_set(coupling, level + 1, energy_window, resolution, cache_dir),
-    )
+    return _cover(*_band_sets((coupling,), (level, level + 1))[0])
 
 
-def sum_spectrum(
-    coupling_1: float,
-    coupling_2: float,
-    level: int,
-    resolution: float = 1e-4,
-    cache_dir: str | None = None,
-) -> IntervalSet:
+def sum_spectrum(coupling_1: float, coupling_2: float, level: int) -> IntervalSet:
     """Minkowski sum of the two level-k covers: the square-model spectrum."""
-    a = spectrum_approximant(coupling_1, level, resolution, cache_dir=cache_dir)
-    b = spectrum_approximant(coupling_2, level, resolution, cache_dir=cache_dir)
+    a = spectrum_approximant(coupling_1, level)
+    b = spectrum_approximant(coupling_2, level)
     return minkowski_sum(a, b)
 
 
@@ -353,26 +356,11 @@ def finite_chain_dos(
     return [(float(e), float(c) / n_sites) for e, c in zip(grid, counts)]
 
 
-def band_dos(
-    coupling: float,
-    level: int,
-    resolution: float = 1e-4,
-    energy_window: Interval | None = None,
-    cache_dir: str | None = None,
-) -> BandMeasure:
+def band_dos(coupling: float, level: int, resolution: float | None = None) -> BandMeasure:
     """Density of states putting weight 1/count on each level-k band.
 
     The equal-weight rule is the periodic-approximant normalization; its
     distance to the finite-chain count is a test target, not an identity.
+    ``resolution`` is accepted for older callers and ignored.
     """
-    return _equal_weight_dos(band_set(coupling, level, energy_window, resolution, cache_dir))
-
-
-def _equal_weight_dos(bs: BandSet) -> BandMeasure:
-    """Weight 1/count on each band of one level; fails on an empty band set."""
-    if bs.bands.is_empty:
-        raise ValueError(
-            f"no bands found at coupling {bs.coupling}, level {bs.level}; "
-            "widen the window or refine the resolution"
-        )
-    return BandMeasure.equal_weights_on(bs.bands)
+    return BandMeasure.equal_weights_on(band_set(coupling, level).bands)

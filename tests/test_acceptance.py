@@ -1,9 +1,8 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Each test is a self-contained numerical experiment with its tolerance and
-runtime budget stated inline; heavy artifacts (band-set cache, the default
-coupling-plane sweep) are shared through session fixtures so the whole file
-runs in a few minutes on one core.
+runtime budget stated inline; the heaviest artifact, the default
+coupling-plane sweep, is shared through a session fixture.
 """
 
 import json
@@ -53,17 +52,11 @@ LOG2_OVER_LOG3 = float(np.log(2.0) / np.log(3.0))
 
 
 @pytest.fixture(scope="session")
-def cache(tmp_path_factory):
-    """One shared band-set cache for every heavy computation in this file."""
-    return str(tmp_path_factory.mktemp("band-cache"))
-
-
-@pytest.fixture(scope="session")
-def default_sweep(cache):
+def default_sweep():
     """The default 40x40 coupling-plane sweep, timed."""
     grid = lambda_range(0.1, 8.0, 40)
     t0 = time.monotonic()
-    diagram = sweep(grid, grid, cache_dir=cache)
+    diagram = sweep(grid, grid)
     return diagram, time.monotonic() - t0
 
 
@@ -126,12 +119,12 @@ def test_criterion_02_exact_period_six_orbit():
     assert len(set(seen)) == 6  # no earlier return
 
 
-def test_criterion_03_free_coupling_recovers_full_band(cache):
+def test_criterion_03_free_coupling_recovers_full_band():
     # At coupling zero the level-12 cover must be [-2, 2] up to 1% in
     # measure and 0.01 in Hausdorff distance, and the sum of two free
     # covers must have measure 8 up to 2%.  Budget: 30 s.
     t0 = time.monotonic()
-    cover = spectrum_approximant(0.0, 12, 1e-4, cache_dir=cache)
+    cover = spectrum_approximant(0.0, 12)
     assert abs(cover.measure() - 4.0) <= 0.04
     hull = cover.hull()
     assert hull.lo >= -2.0 - 1e-9 and hull.hi <= 2.0 + 1e-9
@@ -139,7 +132,7 @@ def test_criterion_03_free_coupling_recovers_full_band(cache):
     max_gap = float(np.max(gaps.his - gaps.los)) if len(gaps) else 0.0
     hausdorff = max(hull.lo - (-2.0), 2.0 - hull.hi, max_gap / 2.0)
     assert hausdorff <= 0.01
-    s = sum_spectrum(0.0, 0.0, 12, 1e-4, cache_dir=cache)
+    s = sum_spectrum(0.0, 0.0, 12)
     assert abs(s.measure() - 8.0) <= 0.16
     assert time.monotonic() - t0 < 30.0
 
@@ -210,7 +203,7 @@ def test_criterion_05_sum_set_matches_brute_force_exactly():
         assert [(iv.lo, iv.hi) for iv in got] == [tuple(p) for p in merged]
 
 
-def test_criterion_06_cover_membership_agrees_with_orbit_classification(cache):
+def test_criterion_06_cover_membership_agrees_with_orbit_classification():
     # For each coupling in {0.5, 1, 2} the level-15 cover and a budgeted
     # orbit classification must agree on membership for at least 99% of
     # 1e4 uniformly drawn energies.  The orbit budget is matched to the
@@ -219,7 +212,7 @@ def test_criterion_06_cover_membership_agrees_with_orbit_classification(cache):
     t0 = time.monotonic()
     level = 15
     for coupling in (0.5, 1.0, 2.0):
-        cover = spectrum_approximant(coupling, level, 3e-6, cache_dir=cache)
+        cover = spectrum_approximant(coupling, level)
         rng = np.random.default_rng(np.random.Philox(0))
         half_width = 3.0 + coupling
         energies = rng.uniform(-half_width, half_width, 10_000)
@@ -235,12 +228,12 @@ def test_criterion_06_cover_membership_agrees_with_orbit_classification(cache):
     assert time.monotonic() - t0 < 120.0
 
 
-def test_criterion_07_band_dos_tracks_finite_chain_count(cache):
+def test_criterion_07_band_dos_tracks_finite_chain_count():
     # The equal-weight band density of states at coupling 1, level 12
     # stays within 0.05 sup-distance of the Sturm-sequence eigenvalue
     # count for a 1e4-site chain.  Budget: 2 min.
     t0 = time.monotonic()
-    m = band_dos(1.0, 12, 1e-4, cache_dir=cache)
+    m = band_dos(1.0, 12)
     grid = np.linspace(-3.5, 3.5, 4001)
     oracle = np.array([c for _, c in finite_chain_dos(1.0, 10_000, grid)])
     sup = float(np.max(np.abs(cdf(m, grid) - oracle)))
@@ -291,16 +284,16 @@ def test_criterion_08_convolution_properties():
     assert est.midpoint <= min(1.0, 2.0 * 0.6309) + 0.05
 
 
-def test_criterion_09_measure_dimension_sits_below_support_dimension(cache):
+def test_criterion_09_measure_dimension_sits_below_support_dimension():
     # At coupling 1, level 15: the density-of-states dimension estimate
     # lies strictly below the cover dimension, by more than the seed-to-
     # seed spread over 5 seeds, and both live inside (0, 1).
-    level, resolution = 15, 3e-6
-    cover = spectrum_approximant(1.0, level, resolution, cache_dir=cache)
+    level = 15
+    cover = spectrum_approximant(1.0, level)
     scales = cover.diameter * 2.0 ** (-_BOX_EXPONENTS.astype(float))
     dim_sigma, _ = box_dimension_estimate(cover, list(scales))
     midpoints = [
-        dos_dimension_estimate(1.0, level, resolution, 400, seed, cache_dir=cache).midpoint
+        dos_dimension_estimate(1.0, level, 400, seed).midpoint
         for seed in range(5)
     ]
     spread = max(midpoints) - min(midpoints)
@@ -311,7 +304,7 @@ def test_criterion_09_measure_dimension_sits_below_support_dimension(cache):
     assert gap > spread, f"gap {gap:.4f} vs spread {spread:.4f}"
 
 
-def test_criterion_10_default_sweep_shows_all_regimes(default_sweep, cache):
+def test_criterion_10_default_sweep_shows_all_regimes(default_sweep):
     # The default 40x40 sweep over [0.1, 8]^2: every concrete regime
     # occupied, classification symmetric under swapping the couplings,
     # undecided fraction at most 25%, and the cover dimension strictly
@@ -326,12 +319,12 @@ def test_criterion_10_default_sweep_shows_all_regimes(default_sweep, cache):
         for j in range(i + 1, n):
             assert diagram.cell(i, j).regime == diagram.cell(j, i).regime
     assert diagram.unresolved_fraction() <= 0.25
-    report = monotonicity_report((0.5, 1.0, 2.0, 4.0), cache_dir=cache)
+    report = monotonicity_report((0.5, 1.0, 2.0, 4.0))
     assert report.all_negative, report.flags
     assert elapsed < 1200.0
 
 
-def test_criterion_11_singular_regime_cell_certificate(default_sweep, cache):
+def test_criterion_11_singular_regime_cell_certificate(default_sweep):
     # At the sweep-identified singular-DOS cell closest to the origin:
     # the sum-spectrum measure is non-increasing through levels 8, 10,
     # 12, 14 while staying above 10% of its first value, and the stored
@@ -342,7 +335,7 @@ def test_criterion_11_singular_regime_cell_certificate(default_sweep, cache):
     cell = min(pmsd, key=lambda c: (c.lambda1 + c.lambda2, c.lambda1, c.lambda2))
 
     measures = [
-        sum_spectrum(cell.lambda1, cell.lambda2, level, 3e-6, cache_dir=cache).measure()
+        sum_spectrum(cell.lambda1, cell.lambda2, level).measure()
         for level in (8, 10, 12, 14)
     ]
     for earlier, later in zip(measures, measures[1:]):
@@ -357,7 +350,8 @@ def test_criterion_11_singular_regime_cell_certificate(default_sweep, cache):
 
 def test_criterion_12_cli_byte_identical_cold_and_warm(tmp_path):
     # Identical flags and seeds produce byte-identical CLI output and
-    # artifacts whether the cache starts cold or warm.
+    # artifacts on a rerun; --cache, --resolution and --threads are
+    # accepted and change nothing.
     cache = tmp_path / "cache"
     out_dir = tmp_path / "out"
 

@@ -2,7 +2,8 @@
 
 Most flows run in-process with captured stdout; the installed entry point is
 exercised once through a real subprocess.  Determinism is checked as byte
-equality of repeated invocations, with and without a warm cache.
+equality of repeated invocations.  The legacy flags --resolution, --cache and
+--threads are checked to be accepted and ignored.
 """
 
 import json
@@ -29,12 +30,11 @@ class TestParseArgs:
         assert cfg.params["max_iter"] == 200
         assert cfg.params["escape"] == 10.0
         assert cfg.fmt == "json"
-        assert cfg.cache_dir is None
-        assert cfg.threads >= 1
+        assert not {"cache", "threads", "resolution"} & set(cfg.params)
 
     def test_spectrum_defaults_and_csv(self):
         cfg = parse_args(["spectrum", "--lambda", "1", "--level", "8"])
-        assert cfg.params["resolution"] == 1e-4
+        assert cfg.params == {"lam": 1.0, "level": 8}
         assert cfg.fmt == "json"
         cfg = parse_args(["spectrum", "--lambda", "1", "--level", "8", "--csv"])
         assert cfg.fmt == "csv"
@@ -45,16 +45,15 @@ class TestParseArgs:
         )
         assert cfg.params["l1"] == "0.1:8:40"
         assert cfg.params["level"] == 12
-        assert cfg.params["resolution"] == 3e-6
+        assert "resolution" not in cfg.params
         assert cfg.params["margin"] == 0.05
         assert cfg.params["samples"] == 400
 
     def test_cache_and_threads(self):
-        cfg = parse_args(
-            ["spectrum", "--lambda", "1", "--level", "8", "--cache", "/c", "--threads", "3"]
-        )
-        assert cfg.cache_dir == "/c"
-        assert cfg.threads == 3
+        # Accepted for older invocations and ignored: the config is the same.
+        plain = ["spectrum", "--lambda", "1", "--level", "8"]
+        legacy = plain + ["--cache", "/c", "--threads", "3", "--resolution", "1e-9"]
+        assert parse_args(legacy) == parse_args(plain)
 
     @pytest.mark.parametrize(
         "argv",
@@ -188,6 +187,18 @@ class TestDosCommand:
         assert abs(sum(w for _, _, w in atoms) - 1.0) <= 1e-9
         assert all(lo <= hi for lo, hi, _ in atoms)
 
+    def test_output_reads_back_into_convolve(self, capsys, tmp_path):
+        # 89 bands: weights cut to 12 digits would sum to 1 + 1.8e-12, past
+        # the 1e-12 tolerance of a measure file; full precision reads back.
+        code, out, _ = run_cli(capsys, ["dos", "--lambda", "1", "--level", "10"])
+        assert code == 0
+        assert len(json.loads(out)["atoms"]) == 89
+        path = tmp_path / "nu.json"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, ["convolve", "--in", str(path), "--in", str(path)])
+        assert (code, err) == (0, "")
+        assert abs(sum(w for _, _, w in json.loads(out)["atoms"]) - 1.0) <= 1e-12
+
     def test_oracle_distance_reported(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
@@ -280,21 +291,21 @@ class TestPhaseCommand:
 
 
 class TestFailureExits:
-    def test_no_bands_is_exit_1_with_json_error(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys,
-            ["dos", "--lambda", "7.19", "--level", "12", "--resolution", "1e-3",
-             "--cache", str(tmp_path)],
-        )
+    def test_bad_weights_is_exit_1_with_json_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"atoms": [[0.0, 1.0, 0.5], [2.0, 3.0, 0.4]]}))
+        code, out, err = run_cli(capsys, ["convolve", "--in", str(path), "--in", str(path)])
         assert (code, out) == (1, "")
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
-        assert "no bands" in payload["message"]
+        assert "sum to 1" in payload["message"]
 
-    def test_budget_error_reported(self, capsys):
+    def test_budget_error_reported(self, capsys, tmp_path):
+        # [0, 2] in cells of 1e-8 is 2e8 cells, past MAX_CONVOLUTION_ATOMS.
+        path = tmp_path / "u.json"
+        path.write_text(BandMeasure.uniform(0, 1).to_json())
         code, _, err = run_cli(
-            capsys,
-            ["spectrum", "--lambda", "1", "--level", "8", "--resolution", "1e-9"],
+            capsys, ["convolve", "--in", str(path), "--in", str(path), "--granularity", "1e-8"]
         )
         assert code == 1
         assert json.loads(err)["error"] == "BudgetExceededError"
@@ -321,6 +332,32 @@ class TestDeterminism:
                 continue
             digits = tok.lstrip("-0.").replace(".", "").replace("-", "")
             assert len(digits) <= 13
+
+
+class TestImportCost:
+    """Every CLI run pays its imports; keep the pool and metadata machinery out."""
+
+    @staticmethod
+    def loaded_after(code):
+        probe = code + "; import sys; print(' '.join(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_import_loads_no_process_pool(self):
+        loaded = self.loaded_after("import cantor_spectra.cli")
+        assert not {"concurrent.futures", "multiprocessing"} & loaded
+
+    def test_phase_run_reads_no_package_metadata(self, tmp_path):
+        argv = ["phase", "--l1", "0.5:1:2", "--l2", "0.5:1:2", "--level", "6",
+                "--out", str(tmp_path)]
+        loaded = self.loaded_after(
+            "import contextlib, io; from cantor_spectra.cli import run, parse_args\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): run(parse_args({argv!r}))"
+        )
+        assert "importlib.metadata" not in loaded
+        assert "numpy.ma" not in loaded  # np.percentile would import it
+        assert not {"concurrent.futures", "multiprocessing"} & loaded
 
 
 class TestEntryPoint:

@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import cantor_spectra
 import cantor_spectra.phase_diagram as pd_mod
 import cantor_spectra.spectrum as spectrum_mod
 from cantor_spectra import (
@@ -143,15 +144,14 @@ class TestLambdaRange:
 
 
 class TestDimsForLambda:
-    def test_values_and_ordering(self, tmp_path):
-        sigma, nu = dims_for_lambda(1.0, level=8, resolution=1e-3, cache_dir=str(tmp_path))
+    def test_values_and_ordering(self):
+        sigma, nu = dims_for_lambda(1.0, level=8)
         assert 0.0 < sigma < 1.0
         assert 0.0 < nu <= sigma + DIM_ORDER_TOLERANCE
 
-    def test_deterministic(self, tmp_path):
-        cache = str(tmp_path)
-        a = dims_for_lambda(0.8, level=8, resolution=1e-3, cache_dir=cache)
-        b = dims_for_lambda(0.8, level=8, resolution=1e-3, cache_dir=cache)
+    def test_deterministic(self):
+        a = dims_for_lambda(0.8, level=8)
+        b = dims_for_lambda(0.8, level=8)
         assert a == b
 
     def test_rejects_nonpositive_coupling(self):
@@ -159,21 +159,21 @@ class TestDimsForLambda:
             dims_for_lambda(0.0)
 
     def test_builds_each_level_once(self, monkeypatch):
-        # The cover and the density of states share the level-k bands.
+        # One engine pass gives levels k and k+1; the cover and the density
+        # of states share the level-k bands.
         levels = Counter()
-        real = spectrum_mod.band_set
+        real = spectrum_mod._band_edges
 
-        def counting(coupling, level, *args, **kwargs):
-            levels[level] += 1
-            return real(coupling, level, *args, **kwargs)
+        def counting(couplings, wanted):
+            levels.update(wanted)
+            return real(couplings, wanted)
 
-        monkeypatch.setattr(spectrum_mod, "band_set", counting)
-        monkeypatch.setattr(pd_mod, "band_set", counting, raising=False)
-        dims_for_lambda(1.0, 8, 1e-3, 400, 0, None)
+        monkeypatch.setattr(spectrum_mod, "_band_edges", counting)
+        dims_for_lambda(1.0, 8, 400, 0)
         assert levels == {8: 1, 9: 1}
 
-    def test_dos_estimate_is_interval(self, tmp_path):
-        est = dos_dimension_estimate(1.0, level=8, resolution=1e-3, cache_dir=str(tmp_path))
+    def test_dos_estimate_is_interval(self):
+        est = dos_dimension_estimate(1.0, level=8)
         assert 0.0 <= est.lower <= est.upper <= 1.0
         assert est.sample_count >= 360  # nearly all 400 samples must score
 
@@ -184,12 +184,13 @@ class TestDimsForLambda:
 
 
 def fake_dims(values):
-    """Patch dims_for_lambda with a table lookup that counts calls."""
+    """A stand-in for the per-coupling step _dims: a table lookup that counts calls."""
     calls = []
 
-    def stub(coupling, level, resolution, samples, seed, cache_dir):
-        calls.append(coupling)
-        return values[coupling]
+    def stub(low, high, samples, seed):
+        assert low.coupling == high.coupling and high.level == low.level + 1
+        calls.append(low.coupling)
+        return values[low.coupling]
 
     return stub, calls
 
@@ -198,8 +199,8 @@ class TestSweep:
     def test_grid_layout_row_major(self):
         values = {1.0: (0.9, 0.5), 2.0: (0.7, 0.4), 3.0: (0.5, 0.3)}
         stub, _ = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-            d = sweep((1.0, 2.0), (2.0, 3.0), level=8, resolution=1e-3)
+        with mock.patch.object(pd_mod, "_dims", stub):
+            d = sweep((1.0, 2.0), (2.0, 3.0), level=8)
         assert (d.cell(0, 0).lambda1, d.cell(0, 0).lambda2) == (1.0, 2.0)
         assert (d.cell(1, 0).lambda1, d.cell(1, 0).lambda2) == (1.0, 3.0)
         assert (d.cell(0, 1).lambda1, d.cell(0, 1).lambda2) == (2.0, 2.0)
@@ -210,16 +211,16 @@ class TestSweep:
     def test_each_coupling_computed_once(self):
         values = {1.0: (0.9, 0.5), 2.0: (0.7, 0.4), 3.0: (0.5, 0.3)}
         stub, calls = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-            d = sweep((1.0, 2.0), (2.0, 3.0), level=8, resolution=1e-3)
+        with mock.patch.object(pd_mod, "_dims", stub):
+            d = sweep((1.0, 2.0), (2.0, 3.0), level=8)
         assert sorted(calls) == [1.0, 2.0, 3.0]
         assert len(d.cells) == 4
 
     def test_symmetric_when_axes_match(self):
         values = {1.0: (1.2, 0.9), 2.0: (0.8, 0.5), 3.0: (0.4, 0.2)}
         stub, _ = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-            d = sweep((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), level=8, resolution=1e-3)
+        with mock.patch.object(pd_mod, "_dims", stub):
+            d = sweep((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), level=8)
         for i in range(3):
             for j in range(3):
                 a, b = d.cell(i, j), d.cell(j, i)
@@ -229,8 +230,8 @@ class TestSweep:
     def test_counts_and_fraction(self):
         values = {1.0: (1.2, 0.9), 4.0: (0.3, 0.05)}
         stub, _ = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-            d = sweep((1.0, 4.0), (1.0, 4.0), level=8, resolution=1e-3)
+        with mock.patch.object(pd_mod, "_dims", stub):
+            d = sweep((1.0, 4.0), (1.0, 4.0), level=8)
         counts = d.regime_counts()
         assert sum(counts.values()) == 4
         assert set(counts) == set(REGIMES)
@@ -242,25 +243,42 @@ class TestSweep:
     def test_inconsistent_dims_propagate(self):
         values = {1.0: (0.2, 0.9)}
         stub, _ = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
+        with mock.patch.object(pd_mod, "_dims", stub):
             with pytest.raises(InconsistentDimensionsError):
-                sweep((1.0,), (1.0,), level=8, resolution=1e-3)
+                sweep((1.0,), (1.0,), level=8)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cache = str(tmp_path)
+    def test_ignored_arguments_change_nothing(self):
         grid = (0.5, 1.0)
-        serial = sweep(grid, grid, level=6, resolution=1e-3, cache_dir=cache)
-        parallel = sweep(grid, grid, level=6, resolution=1e-3, cache_dir=cache, n_workers=2)
-        assert serial.cells == parallel.cells
+        plain = sweep(grid, grid, level=6)
+        legacy = sweep(grid, grid, level=6, resolution=1e-3, n_workers=2)
+        assert plain == legacy
+
+    def test_cells_match_dims_for_lambda(self):
+        grid = (0.5, 3.0)
+        d = sweep(grid, grid, level=8)
+        for cell in d.cells:
+            assert (cell.dim_sigma1, cell.dim_nu1) == dims_for_lambda(cell.lambda1, 8)
+
+    def test_dims_ordered_on_shifted_couplings(self):
+        # The benchmark sweeps freshly shifted couplings in [0.1, 8.3]; a
+        # defect at any one of them fails a whole run.  Exact dense bands
+        # put dim_nu - dim_sigma at most 0.0395 on 3000 such couplings.
+        lams = np.sort(np.random.default_rng(np.random.Philox(34)).uniform(0.1, 8.3, 200))
+        d = sweep(lams, lams[:1])
+        assert len(d.cells) == 200
+        for cell in d.cells:
+            assert cell.dim_nu1 <= cell.dim_sigma1 + DIM_ORDER_TOLERANCE, cell.lambda1
 
     def test_provenance_payload(self):
         values = {1.0: (0.9, 0.5)}
         stub, _ = fake_dims(values)
-        with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-            d = sweep((1.0,), (1.0,), level=8, resolution=1e-3, margin=0.04, seed=5)
+        with mock.patch.object(pd_mod, "_dims", stub):
+            d = sweep((1.0,), (1.0,), level=8, margin=0.04, seed=5)
         prov = d.provenance()
         assert prov["schema_version"] == 1
         assert prov["tool"] == "cantor-spectra"
+        assert prov["tool_version"] == cantor_spectra.__version__ == "0.1.0"
+        assert "resolution" not in prov
         assert prov["level"] == 8
         assert prov["margin"] == 0.04
         assert prov["seed"] == 5
@@ -272,8 +290,6 @@ class TestSweep:
             sweep((), (1.0,))
         with pytest.raises(ValueError):
             sweep((1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            sweep((1.0,), (1.0,), n_workers=0)
 
 
 # --------------------------------------------------------------------------
@@ -304,19 +320,16 @@ class TestMonotonicityReport:
         assert r.slopes == (-0.2,)
         assert r.all_negative
 
-    def test_computed_from_covers(self, tmp_path):
-        r = monotonicity_report(
-            (0.5, 1.0, 2.0), level=8, resolution=1e-3, cache_dir=str(tmp_path)
-        )
+    def test_computed_from_covers(self):
+        r = monotonicity_report((0.5, 1.0, 2.0), level=8)
         assert len(r.dims) == 3 and len(r.slopes) == 2
         assert all(0.0 < d <= 1.05 for d in r.dims)
         assert r.all_negative  # cover dimension falls as coupling grows
 
-    def test_cover_dims_match_dims_for_lambda(self, tmp_path):
-        cache = str(tmp_path)
+    def test_cover_dims_match_dims_for_lambda(self):
         lams = (0.5, 2.0, 6.0)
-        r = monotonicity_report(lams, level=8, resolution=1e-3, cache_dir=cache)
-        want = tuple(dims_for_lambda(lam, 8, 1e-3, 400, 0, cache)[0] for lam in lams)
+        r = monotonicity_report(lams, level=8)
+        want = tuple(dims_for_lambda(lam, 8, 400, 0)[0] for lam in lams)
         assert r.dims == want
 
     def test_validation(self):
@@ -337,8 +350,8 @@ class TestMonotonicityReport:
 def small_diagram():
     values = {1.0: (1.2, 0.9), 4.0: (0.3, 0.05)}
     stub, _ = fake_dims(values)
-    with mock.patch.object(pd_mod, "dims_for_lambda", stub):
-        return sweep((1.0, 4.0), (1.0, 4.0), level=8, resolution=1e-3)
+    with mock.patch.object(pd_mod, "_dims", stub):
+        return sweep((1.0, 4.0), (1.0, 4.0), level=8)
 
 
 class TestWriters:
@@ -366,7 +379,7 @@ class TestWriters:
 
     def test_csv_12_digit_formatting(self, tmp_path):
         c = PhaseCell(1.0, 1.0, 0.123456789012345, 0.5, 0.1, 0.2, UNRESOLVED)
-        d = PhaseDiagram((1.0,), (1.0,), (c,), 8, 1e-3, 0.05, 400, 0)
+        d = PhaseDiagram((1.0,), (1.0,), (c,), 8, 0.05, 400, 0)
         path = tmp_path / "one.csv"
         write_cells_csv(d, str(path))
         text = path.read_text()

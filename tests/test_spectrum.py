@@ -1,4 +1,4 @@
-"""Half-trace recursion, band covers, the Fibonacci chain, and caching.
+"""Half-trace recursion, the band engine, band covers, and the Fibonacci chain.
 
 Oracles used here, all independent of the implementation:
  * the three-term trace map applied to the natural initial point, whose
@@ -9,11 +9,11 @@ Oracles used here, all independent of the implementation:
  * the recursion written out without saturation, wherever it stays finite;
  * the substitution word 0 -> 01, 1 -> 0 for the on-site potential;
  * dense symmetric eigensolving (numpy eigvalsh) for the finite-chain
-   eigenvalue counts.
+   eigenvalue counts, and for the band edges of each periodic approximant:
+   the eigenvalues of its periodic and antiperiodic F_k x F_k matrices;
+ * Suto's nesting sigma_{k} inside sigma_{k-1} united with sigma_{k-2}.
 """
 
-import json
-import os
 import warnings
 
 import numpy as np
@@ -23,7 +23,6 @@ from cantor_spectra import (
     ALPHA,
     BandSet,
     BudgetExceededError,
-    EDGE_VALUE_TOL,
     Interval,
     IntervalSet,
     band_dos,
@@ -39,6 +38,7 @@ from cantor_spectra import (
     sum_spectrum,
     trace_step,
 )
+from cantor_spectra.spectrum import _band_edges
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -71,6 +71,33 @@ def substitution_word(n: int) -> str:
     while len(word) < n:
         word = "".join("01" if c == "0" else "0" for c in word)
     return word[:n]
+
+
+def approximant_word(k: int) -> str:
+    """Period word w_k of a_k: w_0 = '0', w_1 = '1', w_{k+1} = w_k w_{k-1}."""
+    words = ["0", "1"]
+    for _ in range(k - 1):
+        words.append(words[-1] + words[-2])
+    return words[k]
+
+
+def dense_band_edges(coupling: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band edges of sigma_k by dense eigensolving.
+
+    The edges of the period-F_k operator are the eigenvalues of its
+    periodic and antiperiodic F_k x F_k matrices (diagonal: the word w_k
+    with letter 1 carrying the coupling; unit hopping; corner entries +-1).
+    """
+    v = np.array([coupling if c == "1" else 0.0 for c in approximant_word(k)])
+    q = v.size
+    eigs = []
+    for corner in (1.0, -1.0):
+        h = np.diag(v) + np.diag(np.ones(q - 1), 1) + np.diag(np.ones(q - 1), -1)
+        h[0, q - 1] += corner
+        h[q - 1, 0] += corner
+        eigs.append(np.linalg.eigvalsh(h))
+    edges = np.sort(np.concatenate(eigs))
+    return edges[0::2], edges[1::2]
 
 
 def chain_matrix(coupling: float, n_sites: int) -> np.ndarray:
@@ -185,26 +212,26 @@ class TestBandSet:
         # cos(F_k t) has modulus <= 1 on all of [-2, 2] and grows outside,
         # so the band set must be a single interval hugging [-2, 2].
         for level in (4, 9):
-            bs = band_set(0.0, level, resolution=1e-3)
+            bs = band_set(0.0, level)
             assert len(bs.bands) == 1
             lo, hi = bs.bands.los[0], bs.bands.his[0]
             assert -2.0 - 1e-12 <= lo <= -2.0 + 1e-5
             assert 2.0 - 1e-5 <= hi <= 2.0 + 1e-12
 
     def test_band_count_reaches_degree_at_strong_coupling(self):
-        bs = band_set(2.0, 8, resolution=1e-3)
+        bs = band_set(2.0, 8)
         assert len(bs.bands) == half_trace_degree(8) == 34
 
     def test_band_edges_satisfy_membership(self):
-        bs = band_set(1.0, 8, resolution=1e-3)
+        bs = band_set(1.0, 8)
         for edge in np.concatenate([bs.bands.los, bs.bands.his]):
             val = abs(half_trace(float(edge), 1.0, 8))
-            assert val <= 1.0 + 1e-12  # edges are inside points
-            assert val >= 1.0 - 2.0 * EDGE_VALUE_TOL  # and sit at the crossing
+            assert val <= 1.0  # edges are inside points
+            assert val >= 1.0 - 1e-9  # and sit at the crossing
 
     def test_bands_within_window(self):
         window = default_energy_window(1.0)
-        bs = band_set(1.0, 7, resolution=1e-3)
+        bs = band_set(1.0, 7)
         assert bs.bands.los[0] >= window.lo
         assert bs.bands.his[-1] <= window.hi
 
@@ -214,33 +241,91 @@ class TestBandSet:
         with pytest.raises(ValueError):
             band_set(1.0, 41)
         with pytest.raises(ValueError):
-            band_set(1.0, 5, resolution=0.0)
+            band_set(1.0, -1)
         with pytest.raises(BudgetExceededError):
-            band_set(1.0, 5, resolution=1e-8)
+            band_set(1.0, 30)  # 1 346 269 bands
 
     def test_default_window(self):
         w = default_energy_window(1.5)
         assert (w.lo, w.hi) == (-4.5, 4.5)
 
 
+class TestBandEngine:
+    """The band engine against dense eigensolving and Suto's nesting."""
+
+    COUPLINGS = tuple(
+        np.random.default_rng(np.random.Philox(33)).uniform(0.1, 8.3, 16)
+    ) + (0.01, 7.342, 8.0, 8.3)
+    LEVELS = tuple(range(2, 14))
+
+    def test_matches_dense_eigenvalues(self):
+        batched = _band_edges(self.COUPLINGS, self.LEVELS)
+        for k, (los, his) in zip(self.LEVELS, batched):
+            assert los.shape == his.shape == (len(self.COUPLINGS), half_trace_degree(k))
+            for i, lam in enumerate(self.COUPLINGS):
+                want_lo, want_hi = dense_band_edges(lam, k)
+                assert np.max(np.abs(los[i] - want_lo)) <= 1e-9, (lam, k)
+                assert np.max(np.abs(his[i] - want_hi)) <= 1e-9, (lam, k)
+
+    def test_edges_are_inside_points_and_bands_disjoint(self):
+        batched = _band_edges(self.COUPLINGS, self.LEVELS)
+        for k, (los, his) in zip(self.LEVELS, batched):
+            for i, lam in enumerate(self.COUPLINGS):
+                assert np.all(np.abs(half_trace(los[i], lam, k)) <= 1.0), (lam, k)
+                assert np.all(np.abs(half_trace(his[i], lam, k)) <= 1.0), (lam, k)
+                assert np.all(los[i] <= his[i]) and np.all(his[i][:-1] < los[i][1:])
+
+    def test_band_set_counts_every_band(self):
+        for lam in self.COUPLINGS:
+            for k in (2, 7, 13):
+                assert len(band_set(lam, k).bands) == half_trace_degree(k), (lam, k)
+
+    def test_batched_row_equals_single_coupling(self):
+        batched = _band_edges(self.COUPLINGS, (12, 13))
+        for i, lam in enumerate(self.COUPLINGS):
+            single = _band_edges([lam], (12, 13))
+            for (los, his), (one_lo, one_hi) in zip(batched, single):
+                assert np.array_equal(los[i], one_lo[0]) and np.array_equal(his[i], one_hi[0])
+
+    def test_zero_coupling_is_one_band(self):
+        for k in (0, 1, 5, 13):
+            bs = band_set(0.0, k)
+            assert (list(bs.bands.los), list(bs.bands.his)) == ([-2.0], [2.0])
+
+    def test_deep_levels_count_and_nest(self):
+        # Beyond dense reach: F_k disjoint inside-point bands, each inside
+        # a band of sigma_{k-1} or sigma_{k-2}.
+        couplings = (0.5, 8.0)
+        levels = (14, 15, 16, 17, 18)
+        by_level = dict(zip(levels, _band_edges(couplings, levels)))
+        for k in (16, 17, 18):
+            los, his = by_level[k]
+            for i, lam in enumerate(couplings):
+                assert los[i].size == half_trace_degree(k)
+                assert np.all(his[i][:-1] < los[i][1:])
+                assert np.all(np.abs(half_trace(los[i], lam, k)) <= 1.0)
+                assert np.all(np.abs(half_trace(his[i], lam, k)) <= 1.0)
+                pairs = []
+                for j in (k - 1, k - 2):
+                    pairs += zip(by_level[j][0][i], by_level[j][1][i])
+                below = normalize(pairs)
+                for lo, hi in zip(los[i], his[i]):
+                    assert below.contains_set(IntervalSet([(lo, hi)])), (lam, k, lo, hi)
+
+
 class TestSpectrumApproximant:
-    def test_union_of_adjacent_levels(self, tmp_path):
-        cache = str(tmp_path)
-        cover = spectrum_approximant(1.0, 6, resolution=1e-3, cache_dir=cache)
-        b6 = band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        b7 = band_set(1.0, 7, resolution=1e-3, cache_dir=cache)
+    def test_union_of_adjacent_levels(self):
+        cover = spectrum_approximant(1.0, 6)
+        b6 = band_set(1.0, 6)
+        b7 = band_set(1.0, 7)
         manual = normalize(
             list(zip(b6.bands.los, b6.bands.his))
             + list(zip(b7.bands.los, b7.bands.his))
         )
         assert cover == manual
 
-    def test_covers_shrink_with_level(self, tmp_path):
-        cache = str(tmp_path)
-        covers = [
-            spectrum_approximant(1.0, lv, resolution=1e-3, cache_dir=cache)
-            for lv in (6, 8, 10)
-        ]
+    def test_covers_shrink_with_level(self):
+        covers = [spectrum_approximant(1.0, lv) for lv in (6, 8, 10)]
         slack = 1e-9
         for outer, inner in zip(covers, covers[1:]):
             inflated = IntervalSet(
@@ -249,8 +334,8 @@ class TestSpectrumApproximant:
             assert inflated.contains_set(inner)
             assert outer.measure() + 1e-9 >= inner.measure()
 
-    def test_free_sum_is_full_interval(self, tmp_path):
-        s = sum_spectrum(0.0, 0.0, 8, resolution=1e-3, cache_dir=str(tmp_path))
+    def test_free_sum_is_full_interval(self):
+        s = sum_spectrum(0.0, 0.0, 8)
         assert len(s) == 1
         assert abs(s.measure() - 8.0) <= 1e-4
         hull = s.hull()
@@ -307,67 +392,17 @@ class TestFiniteChainDos:
 
 
 class TestBandDos:
-    def test_equal_weights(self, tmp_path):
-        m = band_dos(2.0, 8, resolution=1e-3, cache_dir=str(tmp_path))
+    def test_equal_weights(self):
+        m = band_dos(2.0, 8)
         assert len(m.weights) == 34
         assert np.allclose(m.weights, 1.0 / 34.0, rtol=0, atol=1e-15)
         assert abs(m.total_weight() - 1.0) <= 1e-12
 
-    def test_error_when_no_bands_found(self, tmp_path):
-        # At this coupling every level-12 band is narrower than the grid
-        # step, so the scan finds nothing and must say so.
-        with pytest.raises(ValueError, match="no bands"):
-            band_dos(7.19, 12, resolution=1e-3, cache_dir=str(tmp_path))
-
-
-# --------------------------------------------------------------------------
-# Caching
-# --------------------------------------------------------------------------
-
-
-class TestBandCache:
-    def test_cold_call_writes_one_file(self, tmp_path):
-        cache = str(tmp_path)
-        band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        files = os.listdir(cache)
-        assert len(files) == 1
-        payload = json.loads((tmp_path / files[0]).read_text())
-        assert payload["schema_version"] == 1
-        assert payload["coupling"] == 1.0
-        assert payload["level"] == 6
-
-    def test_warm_call_identical(self, tmp_path):
-        cache = str(tmp_path)
-        cold = band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        warm = band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        assert np.array_equal(cold.bands.los, warm.bands.los)
-        assert np.array_equal(cold.bands.his, warm.bands.his)
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        cache = str(tmp_path)
-        cold = band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        path = tmp_path / os.listdir(cache)[0]
-        path.write_text("not json at all")
-        again = band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        assert again.bands == cold.bands
-        json.loads(path.read_text())  # the good payload was re-published
-
-    def test_distinct_keys_get_distinct_files(self, tmp_path):
-        cache = str(tmp_path)
-        band_set(1.0, 6, resolution=1e-3, cache_dir=cache)
-        band_set(1.0, 6, resolution=2e-3, cache_dir=cache)
-        band_set(1.0, 7, resolution=1e-3, cache_dir=cache)
-        assert len(os.listdir(cache)) == 3
-
-    def test_environment_variable_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CANTOR_SPECTRA_CACHE", str(tmp_path))
-        band_set(0.5, 6, resolution=1e-3)
-        assert len(os.listdir(tmp_path)) == 1
-
-    def test_empty_result_cached(self, tmp_path):
-        cache = str(tmp_path)
-        bs = band_set(7.19, 12, resolution=1e-3, cache_dir=cache)
-        assert bs.bands.is_empty
-        assert len(os.listdir(cache)) == 1
-        warm = band_set(7.19, 12, resolution=1e-3, cache_dir=cache)
-        assert warm.bands.is_empty
+    def test_every_band_weighted_at_strong_coupling(self):
+        # Every level-12 band at this coupling is narrower than 1e-3, which
+        # a grid scan at that step misses; the engine finds all of them.
+        level = 12
+        m = band_dos(7.19, level, 1e-3)
+        assert len(m.weights) == half_trace_degree(level) == 233
+        for edge in np.concatenate([m.los, m.his]):
+            assert abs(half_trace(float(edge), 7.19, level)) <= 1.0
