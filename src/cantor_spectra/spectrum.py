@@ -61,6 +61,9 @@ _HALVINGS = 56
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 80
 
+# Sites per block of Sturm pivots; more rows raise the peak memory.
+_STURM_ROWS = 8
+
 
 def half_trace_degree(k: int) -> int:
     """Polynomial degree of a_k(E): 0, 1, 1, 2, 3, 5, ... from k = -1."""
@@ -335,6 +338,7 @@ def finite_chain_dos(
     Sturm-sequence sign counting on the tridiagonal matrix (diagonal =
     Fibonacci potential, unit hopping); no eigenvectors are computed.
     Returns (energy, cdf) pairs with cdf = count / n_sites.
+    Results are bitwise those of the plain per-site recurrence.
     """
     if coupling < 0.0:
         raise ValueError("coupling must be >= 0")
@@ -343,17 +347,32 @@ def finite_chain_dos(
         raise ValueError("energy grid must be a non-empty 1-d sequence")
     if np.any(~np.isfinite(grid)):
         raise ValueError("energy grid must be finite")
-    v = fibonacci_potential(n_sites, coupling)
-    counts = np.zeros(grid.shape, dtype=np.int64)
+    # The potential takes two values, 0 and lambda: v_i - E is one of two rows.
+    bases = (0.0 - grid, float(coupling) - grid)
+    lambda_site = (fibonacci_potential(n_sites, coupling) != 0.0).tobytes()
+    block = np.empty((_STURM_ROWS, grid.size))
+    rows = list(block)
+    counts = np.zeros(grid.size, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        d = v[0] - grid
-        d = np.where(d == 0.0, -1e-300, d)
-        counts += d < 0.0
-        for i in range(1, n_sites):
-            d = (v[i] - grid) - 1.0 / d
-            d = np.where(d == 0.0, -1e-300, d)
-            counts += d < 0.0
-    return [(float(e), float(c) / n_sites) for e, c in zip(grid, counts)]
+        d = bases[lambda_site[0]]
+        carry = np.where(d == 0.0, -1e-300, d)  # last pivot of the previous block
+        counts += carry < 0.0
+        for start in range(1, n_sites, _STURM_ROWS):
+            sites = lambda_site[start : start + _STURM_ROWS]
+            filled = block[: len(sites)]
+            d = carry
+            for w, row in zip(sites, rows):
+                np.reciprocal(d, out=row)
+                d = np.subtract(bases[w], row, out=row)
+            if not filled.all():
+                # A zero pivot: redo the block with the guard at every site.
+                d = carry
+                for w, row in zip(sites, rows):
+                    d = np.subtract(bases[w], 1.0 / d, out=row)
+                    d[d == 0.0] = -1e-300
+            counts += (filled < 0.0).sum(axis=0)
+            np.copyto(carry, d)
+    return [(e, c / n_sites) for e, c in zip(grid.tolist(), counts.tolist())]
 
 
 def band_dos(coupling: float, level: int, resolution: float | None = None) -> BandMeasure:

@@ -93,7 +93,8 @@ def classify_orbit(
     Escape is declared at the first step whose max-norm exceeds
     ``escape_norm`` while having strictly increased for 3 consecutive
     steps; a non-finite coordinate escapes immediately.  Anything else is
-    bounded-up-to ``max_iter``.
+    bounded-up-to ``max_iter``.  Results are bitwise those of the plain
+    per-step recurrence.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -106,16 +107,23 @@ def classify_orbit(
     y = energy / 2.0
     z = 1.0
     g0 = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
-    peak = max(abs(x), abs(y), abs(z))
+    ax, ay, az = abs(x), abs(y), abs(z)
+    peak = max(ax, ay, az)
     prev_m = peak
     drift = 0.0
     streak = 0
 
     for n in range(1, max_iter + 1):
         x, y, z = 2.0 * x * y - z, x, y
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        ax, ay, az = abs(x), ax, ay
+        # y and z were tested as x; a non-finite start makes this x non-finite.
+        if not ax < math.inf:
             return OrbitResult(True, n, peak, drift)
-        m = max(abs(x), abs(y), abs(z))
+        m = ax
+        if ay > m:
+            m = ay
+        if az > m:
+            m = az
         if m > peak:
             peak = m
         if m <= DRIFT_NORM_CAP:

@@ -335,7 +335,7 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    """Every CLI run pays its imports; keep the pool and metadata machinery out."""
+    """Every CLI run pays its imports; keep the pool, metadata and RNG machinery out."""
 
     @staticmethod
     def loaded_after(code):
@@ -347,6 +347,7 @@ class TestImportCost:
     def test_import_loads_no_process_pool(self):
         loaded = self.loaded_after("import cantor_spectra.cli")
         assert not {"concurrent.futures", "multiprocessing"} & loaded
+        assert "numpy.random" not in loaded  # 12-16 ms of every process that loads it
 
     def test_phase_run_reads_no_package_metadata(self, tmp_path):
         argv = ["phase", "--l1", "0.5:1:2", "--l2", "0.5:1:2", "--level", "6",

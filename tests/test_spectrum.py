@@ -14,6 +14,7 @@ Oracles used here, all independent of the implementation:
  * Suto's nesting sigma_{k} inside sigma_{k-1} united with sigma_{k-2}.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from cantor_spectra import (
     sum_spectrum,
     trace_step,
 )
-from cantor_spectra.spectrum import _band_edges
+from cantor_spectra.spectrum import _STURM_ROWS, _band_edges
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -389,6 +390,77 @@ class TestFiniteChainDos:
             finite_chain_dos(1.0, 10, [])
         with pytest.raises(ValueError):
             finite_chain_dos(1.0, 10, [np.nan])
+
+
+def per_site_sturm_counts(coupling, n_sites, grid):
+    """Sturm counts by the plain per-site recurrence, and its zero pivots.
+
+    d_0 = v_0 - E, d_i = (v_i - E) - 1 / d_{i-1}, an exact zero replaced by
+    -1e-300; the count is the number of negative pivots.
+    """
+    grid = np.asarray(grid, dtype=float)
+    v = fibonacci_potential(n_sites, coupling)
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    zero_sites = []
+    with np.errstate(divide="ignore", over="ignore"):
+        d = v[0] - grid
+        for i in range(n_sites):
+            if i:
+                d = (v[i] - grid) - 1.0 / d
+            if not d.all():
+                zero_sites.append(i)
+            d = np.where(d == 0.0, -1e-300, d)
+            counts += d < 0.0
+    return counts, zero_sites
+
+
+class TestFiniteChainDosBlocks:
+    """The blocked pivots give the per-site recurrence's results bitwise."""
+
+    @staticmethod
+    def assert_matches_per_site(coupling, n_sites, grid):
+        got = finite_chain_dos(coupling, n_sites, grid)
+        counts, zero_sites = per_site_sturm_counts(coupling, n_sites, grid)
+        assert [e for e, _ in got] == [float(e) for e in grid]
+        assert np.array_equal(np.rint(np.array([c for _, c in got]) * n_sites), counts)
+        assert [c for _, c in got] == [float(c) / n_sites for c in counts]
+        return zero_sites
+
+    def test_queries_workload_couplings(self):
+        for coupling in (7.96515745804389, 0.4160974039528599,
+                         2.9309718441905606, 3.4819054506159413):
+            m = band_dos(coupling, 12)
+            grid = np.linspace(m.support_lo - 0.5, m.support_hi + 0.5, 2001)
+            self.assert_matches_per_site(coupling, 10_000, grid)
+
+    def test_unsorted_seeded_grids(self):
+        rng = np.random.default_rng(np.random.Philox(20))
+        for coupling in (0.0, 0.3, 1.0, 2.5, 8.0):
+            for n_sites in (50, 333):
+                self.assert_matches_per_site(coupling, n_sites, rng.uniform(-4.0, 11.0, 301))
+
+    def test_exact_zero_pivots(self):
+        # E = lambda zeroes the first pivot (site 1 carries lambda); at
+        # lambda = 0, E = 0 zeroes every third pivot, deep inside later blocks.
+        zeros = self.assert_matches_per_site(1.0, 100, [1.0, 0.0, -1.0, 2.0, 0.5])
+        assert 0 in zeros and max(zeros) > _STURM_ROWS
+        zeros = self.assert_matches_per_site(0.0, 100, [0.0, 1.0, -1.0, 2.0])
+        assert max(zeros) > 2 * _STURM_ROWS
+
+    def test_chain_lengths_around_the_block(self):
+        grid = np.linspace(-3.0, 5.0, 41)
+        for n_sites in (1, 2, _STURM_ROWS - 1, _STURM_ROWS, _STURM_ROWS + 1, 3 * _STURM_ROWS + 2):
+            for coupling in (0.0, 1.5):
+                self.assert_matches_per_site(coupling, n_sites, grid)
+
+    def test_peak_memory_stays_small(self):
+        tracemalloc.start()
+        try:
+            finite_chain_dos(7.965, 10_000, np.linspace(-11.0, 11.0, 2001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
 
 
 class TestBandDos:

@@ -108,6 +108,37 @@ class TestInitialPoint:
             surface_residual(TracePoint(0, 0, 1), -1.0)
 
 
+def recomputed_orbit(energy, coupling, max_iter, escape_norm):
+    """classify_orbit with max(|x|, |y|, |z|) and every finiteness test redone each step."""
+    x, y, z = (energy - coupling) / 2.0, energy / 2.0, 1.0
+    g0 = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+    peak = prev_m = max(abs(x), abs(y), abs(z))
+    drift, streak = 0.0, 0
+    for n in range(1, max_iter + 1):
+        x, y, z = 2.0 * x * y - z, x, y
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            return OrbitResult(True, n, peak, drift)
+        m = max(abs(x), abs(y), abs(z))
+        peak = max(peak, m)
+        if m <= DRIFT_NORM_CAP:
+            g = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+            drift = max(drift, abs(g - g0))
+        if m > escape_norm and m > prev_m:
+            streak += 1
+            if streak >= 3:
+                return OrbitResult(True, n, peak, drift)
+        else:
+            streak = 0
+        prev_m = m
+    return OrbitResult(False, max_iter, peak, drift)
+
+
+def orbit_fields(r):
+    """The fields of an OrbitResult with floats as bit strings, NaN-aware."""
+    bits = tuple("nan" if math.isnan(f) else f.hex() for f in (r.max_norm, r.invariant_drift))
+    return (r.escaped, r.step) + bits
+
+
 class TestClassifyOrbit:
     def test_periodic_orbit_is_bounded_with_zero_drift(self):
         r = classify_orbit(0.0, 0.0, max_iter=600)
@@ -173,6 +204,21 @@ class TestClassifyOrbit:
             classify_orbit(0.0, 0.0, escape_norm=2.0)
         with pytest.raises(ValueError):
             classify_orbit(0.0, -1.0)
+
+    def test_matches_full_recomputation_bitwise(self):
+        rng = np.random.default_rng(np.random.Philox(19))
+        for coupling in (0.0, 0.815, 3.02, 6.04, 8.0):
+            energies = rng.uniform(-3.0, 3.0 + coupling, 10_000).tolist()
+            energies += [math.inf, -math.inf, math.nan, 1e300, -1e300, 0.0, coupling]
+            for max_iter, escape_norm in ((19, 2.5), (200, 10.0)):
+                for e in energies:
+                    got = classify_orbit(e, coupling, max_iter=max_iter, escape_norm=escape_norm)
+                    want = recomputed_orbit(e, coupling, max_iter, escape_norm)
+                    assert orbit_fields(got) == orbit_fields(want), (e, coupling, max_iter)
+        # Starts with a non-finite coordinate from finite or huge inputs.
+        for e, coupling in ((-1.7e308, 1e308), (0.0, math.inf), (1.0, math.nan), (math.inf, 2.0)):
+            got = classify_orbit(e, coupling, max_iter=19, escape_norm=2.5)
+            assert orbit_fields(got) == orbit_fields(recomputed_orbit(e, coupling, 19, 2.5))
 
     def test_result_fields_round_trip(self):
         r = OrbitResult(escaped=False, step=7, max_norm=1.5, invariant_drift=1e-12)
