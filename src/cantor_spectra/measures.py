@@ -427,7 +427,8 @@ def measure_dimension_estimate(
     if not (0.0 < eps_min < eps_max):
         raise ValueError("need 0 < eps_min < eps_max")
     rng = np.random.Generator(np.random.Philox(seed))
-    xs = quantile(m, rng.random(n_samples))
+    # Sorted draws speed up the cdf lookups; each point's exponent is its own.
+    xs = quantile(m, np.sort(rng.random(n_samples)))
     eps = np.geomspace(eps_max, eps_min, n_scales)
     mass = cdf(m, xs[:, None] + eps[None, :]) - cdf(m, xs[:, None] - eps[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):

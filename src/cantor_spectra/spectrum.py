@@ -7,8 +7,10 @@ approximants, and sigma_k united with sigma_{k+1} is a cover of the true
 spectrum that shrinks to it as k grows.  For lambda > 0, sigma_k has
 exactly F_k = deg a_k bands, each holding one zero of a_k; the band engine
 finds them all, level by level, from brackets built out of the two levels
-below (Suto, CMP 1987; Raymond 1997).  The resulting interval unions feed
-the Cantor-set machinery in :mod:`cantor_core`.
+below (Suto, CMP 1987; Raymond 1997).  A bracket stops halving once its
+midpoint rounds to its kept end: rounding is monotone, so every later step
+would round there too, and the edges keep the bits of full bisection.  The
+resulting interval unions feed the Cantor-set machinery in :mod:`cantor_core`.
 
 Two independent routes to the density of states are provided: equal band
 weights on a level-k cover (the periodic-approximant weighting) and
@@ -35,8 +37,8 @@ ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HALF_TRACE_LEVEL = 40
 
 # Most bands one engine pass may hold, summed over its couplings.  Its
-# working arrays take about 190 bytes per band (measured at level 25), so
-# 2**20 bands, level 29 at one coupling, stay near 200 MB.
+# working arrays peak at about 225 bytes per band (level 25, tracemalloc),
+# so 2**20 bands, level 29 at one coupling, stay near 240 MB.
 MAX_ENGINE_BANDS = 2 ** 20
 
 # A recursion step that overflows saturates at the largest float, so wide
@@ -128,46 +130,70 @@ def default_energy_window(coupling: float) -> Interval:
 # -- the band engine ------------------------------------------------------
 
 
-def _traces(e: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
-    """Traces x_level = 2 a_level at energies e, for couplings lam broadcast against e.
+def _traces(e: np.ndarray, lam: np.ndarray, level: int, work: np.ndarray) -> np.ndarray:
+    """Traces x_level = 2 a_level at the energies e (1-d), coupling lam[i] at e[i].
 
     x_{k+1} = x_k x_{k-1} - x_{k-2} is the half-trace recursion scaled by
     two, which is exact in floats, so |x| <= 2 exactly where |a| <= 1.
     Traces beyond _TRACE_CAP are clipped to it every _CLIP_EVERY steps.
+    The level must be at least 2.  The recursion runs in ``work``, a
+    (4, e.size) block, and the result is one of its rows.
     """
-    if level == 0:
-        return e.copy()
-    x_prev1 = e - lam
-    if level == 1:
-        return x_prev1
-    x_prev2 = e.copy()
-    x = x_prev1 * e
+    state, x_prev2, x_prev1, x, spare = work[:3], work[0], work[1], work[2], work[3]
+    np.copyto(x_prev2, e)
+    np.subtract(e, lam, x_prev1)
+    np.multiply(x_prev1, e, x)
     x -= 2.0
-    spare = np.empty_like(x)
+    multiply, subtract = np.multiply, np.subtract
     for step in range(2, level):
-        np.multiply(x, x_prev1, out=spare)
-        np.subtract(spare, x_prev2, out=spare)
-        x_prev2, x_prev1, x, spare = x_prev1, x, spare, x_prev2
+        multiply(x, x_prev1, spare)
+        subtract(spare, x_prev2, x_prev2)
+        x_prev2, x_prev1, x = x_prev1, x, x_prev2
         if step % _CLIP_EVERY == 0:
-            for v in (x_prev2, x_prev1, x):
-                np.minimum(v, _TRACE_CAP, out=v)
-                np.maximum(v, -_TRACE_CAP, out=v)
+            np.minimum(state, _TRACE_CAP, out=state)
+            np.maximum(state, -_TRACE_CAP, out=state)
     return x
 
 
-def _bisect(keep: np.ndarray, other: np.ndarray, holds) -> np.ndarray:
+def _bisect(keep: np.ndarray, other: np.ndarray, lam, level: int, sign=None) -> np.ndarray:
     """The ``keep`` ends after _HALVINGS halvings of the brackets [keep, other].
 
-    ``holds`` is true at every keep end and false at every other end; a
-    keep end only ever moves to a midpoint where ``holds`` is true.
+    A keep end only ever moves to a midpoint where the level-``level`` trace
+    x at couplings ``lam`` holds ``sign * x > 0`` (a zero), or |x| <= 2 (an
+    edge) if ``sign`` is None; ``lam`` and ``sign`` broadcast against the
+    brackets.  Every fourth halving, once a quarter of the brackets have
+    settled (midpoint == keep end), they leave the working set.
     """
-    keep = keep.copy()
-    step = other - keep
-    for _ in range(_HALVINGS):
-        step *= 0.5
-        mid = keep + step
-        np.copyto(keep, mid, where=holds(mid))
-    return keep
+    shape = keep.shape
+    step = (other - keep).ravel()
+    keep = done = keep.flatten()
+    lam = np.broadcast_to(lam, shape).ravel()
+    sign = None if sign is None else np.broadcast_to(sign, shape).ravel()
+    rows = np.arange(keep.size)
+    mid = np.empty_like(keep)
+    work = None
+    for halving in range(1, _HALVINGS + 1):
+        np.multiply(step, 0.5, step)
+        np.add(keep, step, mid)
+        if halving % 4 == 0:
+            settled = mid == keep
+            if 4 * np.count_nonzero(settled) >= keep.size:
+                done[rows[settled]] = keep[settled]
+                live, work, x = ~settled, None, None  # x is a row of work
+                keep, step, mid, lam, rows = (v[live] for v in (keep, step, mid, lam, rows))
+                sign = None if sign is None else sign[live]
+                if not keep.size:
+                    break
+        if work is None:
+            work, holds = np.empty((4, keep.size)), np.empty(keep.size, dtype=bool)
+        x = _traces(mid, lam, level, work)
+        if sign is None:
+            np.less_equal(np.abs(x, x), 2.0, holds)
+        else:
+            np.greater(np.multiply(x, sign, x), 0.0, holds)
+        np.copyto(keep, mid, where=holds)
+    done[rows] = keep
+    return done.reshape(shape)
 
 
 def _gap_points(zeros: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
@@ -182,8 +208,9 @@ def _gap_points(zeros: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
     lam = np.broadcast_to(lam, zeros[:, 1:].shape).ravel()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = np.abs(_traces(c, lam, level))
-    fd = np.abs(_traces(d, lam, level))
+    work = np.empty((4, a.size))
+    fc = np.abs(_traces(c, lam, level, work))
+    fd = np.abs(_traces(d, lam, level, work))
     found = np.where(fc > fd, c, d)
     todo = np.flatnonzero(np.maximum(fc, fd) <= 2.0)
     a, b, c, d, fc, fd, lam = (v[todo] for v in (a, b, c, d, fc, fd, lam))
@@ -193,7 +220,7 @@ def _gap_points(zeros: np.ndarray, lam: np.ndarray, level: int) -> np.ndarray:
         left = fc > fd  # the maximum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = np.abs(_traces(x, lam, level))
+        fx = np.abs(_traces(x, lam, level, work[:, : x.size]))
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
         hit = fx > 2.0
@@ -231,16 +258,12 @@ def _band_edges(couplings, levels: Sequence[int]) -> list[tuple[np.ndarray, np.n
         sep = np.concatenate((left_end, inner, right_end), axis=1)
         count = sep.shape[1] - 1
         sign = np.where((count - np.arange(count)) % 2 == 0, 1.0, -1.0)
-        z = _bisect(sep[:, :-1], sep[:, 1:], lambda e: _traces(e, lam, j) * sign > 0.0)
+        z = _bisect(sep[:, :-1], sep[:, 1:], lam, j, sign)
         g = _gap_points(z, lam, j)
         zeros, gaps = (zeros[1], z), (gaps[1], g)
         if j in levels:
             outside = np.concatenate((left_end, g, g, right_end), axis=1)
-            inside = _bisect(
-                np.concatenate((z, z), axis=1),
-                outside,
-                lambda e: np.abs(_traces(e, lam, j)) <= 2.0,
-            )
+            inside = _bisect(np.concatenate((z, z), axis=1), outside, lam, j)
             edges[j] = (inside[:, :count], inside[:, count:])
     return [edges[k] for k in levels]
 
@@ -249,7 +272,8 @@ def _band_sets(couplings: Sequence[float], levels: Sequence[int]) -> list[list[B
     """Band sets of each coupling at each level, from one engine pass.
 
     At coupling zero a_k(2 cos t) = cos(F_k t), so every level is the one
-    band [-2, 2].
+    band [-2, 2].  A coupling > 0 whose F_k bands the engine does not
+    resolve into disjoint bands of positive width raises ValueError.
     """
     lams = [float(c) for c in couplings]
     if any(c < 0.0 for c in lams):
@@ -263,6 +287,14 @@ def _band_sets(couplings: Sequence[float], levels: Sequence[int]) -> list[list[B
             f"{n_bands} bands at level {max(levels)} exceed the {MAX_ENGINE_BANDS} budget"
         )
     edges = _band_edges(positive, levels) if positive else []
+    for k, (lo, hi) in zip(levels, edges):
+        ends = np.stack((lo, hi), axis=2).reshape(len(positive), -1)
+        unresolved = ~np.all(ends[:, 1:] > ends[:, :-1], axis=1)
+        if unresolved.any():
+            raise ValueError(
+                f"coupling {positive[int(np.argmax(unresolved))]!r} at level {k}: the engine"
+                f" does not resolve its {lo.shape[1]} bands into disjoint bands of positive width"
+            )
     rows = iter(range(len(positive)))
     out = []
     for c in lams:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Orbits are tracked for invariant drift only while their max-norm stays
 # below this cap; past it the conserved quantity is swamped by float error.
@@ -36,9 +37,8 @@ class TracePoint:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    """Outcome of a budgeted orbit run.
+class OrbitResult(NamedTuple):
+    """Outcome of a budgeted orbit run, an immutable named tuple.
 
     ``step`` is the escape step for escaped orbits, otherwise the number
     of steps run.  ``invariant_drift`` is the largest deviation of G from

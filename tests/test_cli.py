@@ -300,6 +300,13 @@ class TestFailureExits:
         assert payload["error"] == "ValueError"
         assert "sum to 1" in payload["message"]
 
+    def test_unresolved_coupling_is_exit_1_naming_it(self, capsys):
+        code, out, err = run_cli(capsys, ["spectrum", "--lambda", "1000", "--level", "12"])
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "1000" in payload["message"] and "level 12" in payload["message"]
+
     def test_budget_error_reported(self, capsys, tmp_path):
         # [0, 2] in cells of 1e-8 is 2e8 cells, past MAX_CONVOLUTION_ATOMS.
         path = tmp_path / "u.json"

@@ -9,6 +9,7 @@ Independent oracles implemented here:
  * dense-eigensolver-free closed forms for small point-mass convolutions.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -418,6 +419,31 @@ class TestMeasureDimensionEstimate:
         assert (a.lower, a.upper, a.sample_count) == (b.lower, b.upper, b.sample_count)
         c = measure_dimension_estimate(m, 200, 1e-6, 1e-2, seed=8)
         assert (a.lower, a.upper) != (c.lower, c.upper)
+
+    @staticmethod
+    def unsorted_estimate(m, n_samples, eps_min, eps_max, seed, n_scales):
+        """The estimate with the uniform draws taken in the order drawn."""
+        xs = quantile(m, np.random.Generator(np.random.Philox(seed)).random(n_samples))
+        eps = np.geomspace(eps_max, eps_min, n_scales)
+        mass = cdf(m, xs[:, None] + eps[None, :]) - cdf(m, xs[:, None] - eps[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.log(mass) / np.log(eps)[None, :]
+        ratios[mass <= 0.0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            alphas = np.nanmin(ratios[:, n_scales - n_scales // 2 :], axis=1)
+            alphas = np.where(np.isnan(alphas), np.nanmin(ratios, axis=1), alphas)
+        alphas = np.sort(alphas[~np.isnan(alphas)])
+        lower = min(max(float(np.percentile(alphas, 5.0)), 0.0), 1.0)
+        upper = min(max(float(np.percentile(alphas, 95.0)), 0.0), 1.0)
+        return min(lower, upper), upper, int(alphas.size)
+
+    def test_sorted_draws_change_no_estimate(self):
+        for coupling in (0.1, 1.0, 3.19, 8.0):
+            m = band_dos(coupling, 12)
+            est = measure_dimension_estimate(m, 400, 1e-7, 1.0 / 16.0, seed=0, n_scales=12)
+            want = self.unsorted_estimate(m, 400, 1e-7, 1.0 / 16.0, 0, 12)
+            assert (est.lower, est.upper, est.sample_count) == want, coupling
 
     def test_validation(self):
         u = BandMeasure.uniform(0, 1)

@@ -39,7 +39,8 @@ from cantor_spectra import (
     sum_spectrum,
     trace_step,
 )
-from cantor_spectra.spectrum import _STURM_ROWS, _band_edges
+from cantor_spectra import lambda_range
+from cantor_spectra.spectrum import _STURM_ROWS, _band_edges, _band_sets, _bisect
 
 # --------------------------------------------------------------------------
 # Oracles
@@ -312,6 +313,157 @@ class TestBandEngine:
                 below = normalize(pairs)
                 for lo, hi in zip(los[i], his[i]):
                     assert below.contains_set(IntervalSet([(lo, hi)])), (lam, k, lo, hi)
+
+
+def ref_traces(e, lam, level):
+    """Traces x_level with fresh arrays and every array clipped on its own."""
+    if level == 0:
+        return e.copy()
+    x_prev1 = e - lam
+    if level == 1:
+        return x_prev1
+    x_prev2 = e.copy()
+    x = x_prev1 * e
+    x -= 2.0
+    spare = np.empty_like(x)
+    for step in range(2, level):
+        np.multiply(x, x_prev1, out=spare)
+        np.subtract(spare, x_prev2, out=spare)
+        x_prev2, x_prev1, x, spare = x_prev1, x, spare, x_prev2
+        if step % 6 == 0:
+            for v in (x_prev2, x_prev1, x):
+                np.minimum(v, 2.0**32, out=v)
+                np.maximum(v, -(2.0**32), out=v)
+    return x
+
+
+def ref_bisect(keep, other, holds):
+    """All 56 halvings of every bracket, settled or not."""
+    keep = keep.copy()
+    step = other - keep
+    for _ in range(56):
+        step *= 0.5
+        mid = keep + step
+        np.copyto(keep, mid, where=holds(mid))
+    return keep
+
+
+def ref_gap_points(zeros, lam, level):
+    a = zeros[:, :-1].ravel()
+    b = zeros[:, 1:].ravel()
+    lam = np.broadcast_to(lam, zeros[:, 1:].shape).ravel()
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc = np.abs(ref_traces(c, lam, level))
+    fd = np.abs(ref_traces(d, lam, level))
+    found = np.where(fc > fd, c, d)
+    todo = np.flatnonzero(np.maximum(fc, fd) <= 2.0)
+    a, b, c, d, fc, fd, lam = (v[todo] for v in (a, b, c, d, fc, fd, lam))
+    for _ in range(80):
+        if todo.size == 0:
+            break
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - golden * (b - a), a + golden * (b - a))
+        fx = np.abs(ref_traces(x, lam, level))
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        hit = fx > 2.0
+        found[todo[hit]] = x[hit]
+        rest = ~hit
+        todo, a, b, c, d, fc, fd, lam = (v[rest] for v in (todo, a, b, c, d, fc, fd, lam))
+    return found.reshape(zeros.shape[0], -1)
+
+
+def ref_band_edges(couplings, levels):
+    """The band engine with closure predicates and no settled brackets."""
+    lam = np.asarray(couplings, dtype=float).reshape(-1, 1)
+    left_end, right_end = -(3.0 + lam), 3.0 + lam
+    zeros = (np.zeros_like(lam), lam)
+    gaps = (lam[:, :0], lam[:, :0])
+    edges = {0: (np.full_like(lam, -2.0), np.full_like(lam, 2.0)), 1: (lam - 2.0, lam + 2.0)}
+    for j in range(2, max(levels) + 1):
+        inner = np.sort(np.concatenate((zeros[1], gaps[0]), axis=1), axis=1)
+        sep = np.concatenate((left_end, inner, right_end), axis=1)
+        count = sep.shape[1] - 1
+        sign = np.where((count - np.arange(count)) % 2 == 0, 1.0, -1.0)
+        z = ref_bisect(sep[:, :-1], sep[:, 1:], lambda e: ref_traces(e, lam, j) * sign > 0.0)
+        g = ref_gap_points(z, lam, j)
+        zeros, gaps = (zeros[1], z), (gaps[1], g)
+        if j in levels:
+            outside = np.concatenate((left_end, g, g, right_end), axis=1)
+            inside = ref_bisect(
+                np.concatenate((z, z), axis=1),
+                outside,
+                lambda e: np.abs(ref_traces(e, lam, j)) <= 2.0,
+            )
+            edges[j] = (inside[:, :count], inside[:, count:])
+    return [edges[k] for k in levels]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBandEngineBitwise:
+    """Dropping settled brackets and reusing buffers leaves every edge's bits as they were."""
+
+    AXIS = lambda_range(0.1, 8.0, 40)
+
+    def assert_same_edges(self, couplings, levels):
+        got = _band_edges(couplings, levels)
+        want = ref_band_edges(couplings, levels)
+        for k, (lo, hi), (ref_lo, ref_hi) in zip(levels, got, want):
+            assert same_bits(lo, ref_lo) and same_bits(hi, ref_hi), (couplings, k)
+
+    def test_sweep_slices_and_full_axis(self):
+        for j in range(10):
+            self.assert_same_edges(self.AXIS[j::10], (12, 13))
+        self.assert_same_edges(self.AXIS, (12, 13))
+
+    def test_single_coupling_deep_and_shallow(self):
+        for levels in ((15, 16), (16, 17), (17, 18), (12,), (9,)):
+            self.assert_same_edges((7.96515745804389,), levels)
+
+    def test_mixed_levels_and_extreme_couplings(self):
+        self.assert_same_edges((0.3, 2.5, 7.9), (10, 11, 14))
+        self.assert_same_edges((1e-6, 0.01, 8.3, 19.0), (12, 13))
+
+    def test_direct_brackets(self):
+        # Straddling 1.0, empty (keep == other, both -0.0 or 0.5), and
+        # 1e-300 wide, whose steps turn subnormal; alone and together.
+        keep = np.array([[0.75, -0.0, 0.5, 3e-300]])
+        other = np.array([[1.25, -0.0, 0.5, 2e-300]])
+        lam = np.array([[1.0]])
+        for level in (2, 5, 9):
+            x = lambda e: ref_traces(e, lam, level)
+            for sign in (1.0, -1.0):
+                want = ref_bisect(keep, other, lambda e: x(e) * sign > 0.0)
+                assert same_bits(_bisect(keep, other, lam, level, sign), want), (level, sign)
+            want = ref_bisect(keep, other, lambda e: np.abs(x(e)) <= 2.0)
+            assert same_bits(_bisect(keep, other, lam, level), want), level
+            for i in range(keep.shape[1]):
+                one_keep, one_other = keep[:, i : i + 1], other[:, i : i + 1]
+                want = ref_bisect(one_keep, one_other, lambda e: np.abs(x(e)) <= 2.0)
+                assert same_bits(_bisect(one_keep, one_other, lam, level), want), (level, i)
+        # At level 2 and coupling 1, |x(0)| = 2: the -0.0 bracket moves to +0.0.
+        assert same_bits(_bisect(keep[:, 1:2], other[:, 1:2], lam, 2), [[0.0]])
+
+
+class TestUnresolvedCouplings:
+    def test_rejects_coupling_beyond_float_resolution(self):
+        # At level 12 and coupling 1000 most of the 233 bands have no width.
+        with pytest.raises(ValueError, match=r"1000.*12"):
+            band_set(1000.0, 12)
+
+    def test_in_domain_couplings_pass(self):
+        cases = ((lambda_range(0.1, 8.0, 40), 13), ((0.1, 8.3), 18), ((1e-6, 0.01), 13))
+        for couplings, k in cases:
+            for (bs,) in _band_sets(couplings, (k,)):
+                assert len(bs.bands) == half_trace_degree(k), (bs.coupling, k)
+                assert np.all(bs.bands.his > bs.bands.los), (bs.coupling, k)
 
 
 class TestSpectrumApproximant:

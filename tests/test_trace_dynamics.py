@@ -224,3 +224,11 @@ class TestClassifyOrbit:
         r = OrbitResult(escaped=False, step=7, max_norm=1.5, invariant_drift=1e-12)
         assert r.status == "bounded_up_to"
         assert OrbitResult(True, 3, 11.0, 0.0).status == "escaped"
+
+    def test_result_is_an_immutable_named_tuple(self):
+        r = OrbitResult(True, 3, 11.0, 0.0)
+        assert OrbitResult._fields == ("escaped", "step", "max_norm", "invariant_drift")
+        assert r == OrbitResult(escaped=True, step=3, max_norm=11.0, invariant_drift=0.0)
+        assert tuple(r) == (True, 3, 11.0, 0.0)
+        with pytest.raises(AttributeError):
+            r.step = 4
