@@ -144,7 +144,7 @@ def _traces(e: np.ndarray, lam: np.ndarray, level: int, work: np.ndarray) -> np.
     np.subtract(e, lam, x_prev1)
     np.multiply(x_prev1, e, x)
     x -= 2.0
-    multiply, subtract = np.multiply, np.subtract
+    multiply, subtract = np.multiply, np.subtract  # local names for the hot loop
     for step in range(2, level):
         multiply(x, x_prev1, spare)
         subtract(spare, x_prev2, x_prev2)
@@ -315,7 +315,7 @@ def band_set(coupling: float, level: int) -> BandSet:
     """All bands of |a_level| <= 1: exactly F_level of them for coupling > 0.
 
     Every edge e is an inside point, |a_level(e)| <= 1, within a few float
-    spacings of the true edge.
+    spacings of the true edge; ValueError where floats cannot resolve them.
     """
     return _band_sets((coupling,), (level,))[0][0]
 
