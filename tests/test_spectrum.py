@@ -34,12 +34,12 @@ from cantor_spectra import (
     half_trace,
     half_trace_degree,
     initial_point,
+    lambda_range,
     normalize,
     spectrum_approximant,
     sum_spectrum,
     trace_step,
 )
-from cantor_spectra import lambda_range
 from cantor_spectra.spectrum import _STURM_ROWS, _band_edges, _band_sets, _bisect
 
 # --------------------------------------------------------------------------
